@@ -5,9 +5,10 @@ namespace algebra {
 
 namespace {
 
+/// Instantiates `tmpl` for physical row `row` of `batch` under `parent`.
 Status InstantiateInto(const xmlql::TemplateNode& tmpl,
-                       const TupleSchema& schema, const Tuple& tuple,
-                       Node* parent) {
+                       const TupleSchema& schema, const TupleBatch& batch,
+                       size_t row, Node* parent) {
   switch (tmpl.kind) {
     case xmlql::TemplateNode::Kind::kText:
       parent->AddChild(Node::Text(tmpl.text));
@@ -18,7 +19,7 @@ Status InstantiateInto(const xmlql::TemplateNode& tmpl,
         return Status::InvalidArgument("template variable $" + tmpl.variable +
                                        " not bound");
       }
-      const Binding& binding = tuple[*slot];
+      const Binding& binding = batch.column(*slot)[row];
       if (binding.is_node()) {
         parent->AddChild(binding.node()->Clone());
       } else {
@@ -27,16 +28,13 @@ Status InstantiateInto(const xmlql::TemplateNode& tmpl,
       return Status::OK();
     }
     case xmlql::TemplateNode::Kind::kAggregate: {
-      // Aggregate outputs are named "<fn>_<var>" by the engine's
-      // HashAggregate stage.
-      std::string output = std::string(xmlql::AggregateFnName(tmpl.aggregate)) +
-                           "_" + tmpl.variable;
+      std::string output = AggregateOutputName(tmpl.aggregate, tmpl.variable);
       std::optional<size_t> slot = schema.SlotOf(output);
       if (!slot.has_value()) {
         return Status::InvalidArgument("aggregate " + output +
                                        " missing from plan output");
       }
-      parent->AddChild(Node::Text(tuple[*slot].AsScalar()));
+      parent->AddChild(Node::Text(batch.column(*slot)[row].AsScalar()));
       return Status::OK();
     }
     case xmlql::TemplateNode::Kind::kElement: {
@@ -48,7 +46,7 @@ Status InstantiateInto(const xmlql::TemplateNode& tmpl,
             return Status::InvalidArgument("template variable $" +
                                            attr.variable + " not bound");
           }
-          element->SetAttribute(attr.name, tuple[*slot].AsScalar());
+          element->SetAttribute(attr.name, batch.column(*slot)[row].AsScalar());
         } else {
           element->SetAttribute(attr.name, attr.literal);
         }
@@ -56,7 +54,7 @@ Status InstantiateInto(const xmlql::TemplateNode& tmpl,
       Node* raw = element.get();
       parent->AddChild(std::move(element));
       for (const auto& child : tmpl.children) {
-        NIMBLE_RETURN_IF_ERROR(InstantiateInto(*child, schema, tuple, raw));
+        NIMBLE_RETURN_IF_ERROR(InstantiateInto(*child, schema, batch, row, raw));
       }
       return Status::OK();
     }
@@ -66,20 +64,66 @@ Status InstantiateInto(const xmlql::TemplateNode& tmpl,
 
 }  // namespace
 
-Result<NodePtr> InstantiateTemplate(const xmlql::TemplateNode& tmpl,
-                                    const TupleSchema& schema,
-                                    const Tuple& tuple) {
-  NodePtr holder = Node::Element("holder");
-  NIMBLE_RETURN_IF_ERROR(InstantiateInto(tmpl, schema, tuple, holder.get()));
-  if (holder->children().size() != 1) {
-    return Status::Internal("template instantiation produced " +
-                            std::to_string(holder->children().size()) +
-                            " roots");
+std::string AggregateOutputName(xmlql::AggregateFn fn, const std::string& var) {
+  return std::string(xmlql::AggregateFnName(fn)) + "_" + var;
+}
+
+Result<std::vector<HashAggregate::Spec>> AggregateSpecs(
+    const xmlql::TemplateNode& tmpl, const TupleSchema& input) {
+  std::vector<std::pair<xmlql::AggregateFn, std::string>> calls;
+  tmpl.CollectAggregates(&calls);
+  std::vector<HashAggregate::Spec> specs;
+  specs.reserve(calls.size());
+  for (const auto& [fn, var] : calls) {
+    if (!input.SlotOf(var).has_value()) {
+      return Status::InvalidArgument("aggregate over unbound variable $" + var);
+    }
+    HashAggregate::Fn op = HashAggregate::Fn::kCount;
+    switch (fn) {
+      case xmlql::AggregateFn::kCount:
+        op = HashAggregate::Fn::kCount;
+        break;
+      case xmlql::AggregateFn::kSum:
+        op = HashAggregate::Fn::kSum;
+        break;
+      case xmlql::AggregateFn::kAvg:
+        op = HashAggregate::Fn::kAvg;
+        break;
+      case xmlql::AggregateFn::kMin:
+        op = HashAggregate::Fn::kMin;
+        break;
+      case xmlql::AggregateFn::kMax:
+        op = HashAggregate::Fn::kMax;
+        break;
+    }
+    specs.push_back(HashAggregate::Spec{op, var, AggregateOutputName(fn, var)});
   }
-  // Detach from the holder so the caller owns a clean root.
-  NodePtr result = holder->children()[0];
-  holder->RemoveChild(0);
-  return result;
+  return specs;
+}
+
+std::vector<std::string> ConstructInputs(const xmlql::Query& query) {
+  std::vector<std::string> required;
+  if (!query.IsAggregation()) {
+    query.construct->CollectVariables(&required);
+    return required;
+  }
+  query.construct->CollectNonAggregateVariables(&required);
+  std::vector<std::pair<xmlql::AggregateFn, std::string>> calls;
+  query.construct->CollectAggregates(&calls);
+  for (const auto& [fn, var] : calls) {
+    required.push_back(AggregateOutputName(fn, var));
+  }
+  return required;
+}
+
+Status InstantiateBatch(const xmlql::TemplateNode& tmpl,
+                        const TupleSchema& schema, const TupleBatch& batch,
+                        Node* parent) {
+  for (size_t i = 0; i < batch.size(); ++i) {
+    NIMBLE_RETURN_IF_ERROR(
+        InstantiateInto(tmpl, schema, batch, batch.PhysicalRow(i), parent));
+  }
+  return Status::OK();
 }
 
 Result<NodePtr> ConstructResult(Operator* plan, const xmlql::TemplateNode& tmpl,
@@ -87,11 +131,10 @@ Result<NodePtr> ConstructResult(Operator* plan, const xmlql::TemplateNode& tmpl,
   NodePtr root = Node::Element(root_name);
   NIMBLE_RETURN_IF_ERROR(plan->Open());
   while (true) {
-    NIMBLE_ASSIGN_OR_RETURN(std::optional<Tuple> tuple, plan->Next());
-    if (!tuple.has_value()) break;
-    NIMBLE_ASSIGN_OR_RETURN(NodePtr instance,
-                            InstantiateTemplate(tmpl, plan->schema(), *tuple));
-    root->AddChild(std::move(instance));
+    NIMBLE_ASSIGN_OR_RETURN(std::optional<TupleBatch> batch, plan->NextBatch());
+    if (!batch.has_value()) break;
+    NIMBLE_RETURN_IF_ERROR(
+        InstantiateBatch(tmpl, plan->schema(), *batch, root.get()));
   }
   plan->Close();
   return root;

@@ -2,6 +2,7 @@
 #define NIMBLE_ALGEBRA_CONSTRUCT_H_
 
 #include <string>
+#include <vector>
 
 #include "algebra/operators.h"
 #include "algebra/tuple.h"
@@ -12,12 +13,27 @@
 namespace nimble {
 namespace algebra {
 
-/// Instantiates a CONSTRUCT template for one binding tuple. Scalar
-/// variables become typed text; node-valued bindings are deep-cloned into
-/// place (ELEMENT_AS re-publication).
-Result<NodePtr> InstantiateTemplate(const xmlql::TemplateNode& tmpl,
-                                    const TupleSchema& schema,
-                                    const Tuple& tuple);
+/// The plan variable that carries an aggregate call's result: "<fn>_<var>".
+std::string AggregateOutputName(xmlql::AggregateFn fn, const std::string& var);
+
+/// The HashAggregate specs for a template's aggregate calls, one per
+/// distinct (fn, variable), each output named by AggregateOutputName. Fails
+/// when a call's variable is not in `input`.
+Result<std::vector<HashAggregate::Spec>> AggregateSpecs(
+    const xmlql::TemplateNode& tmpl, const TupleSchema& input);
+
+/// The variables a plan must produce for `query`'s CONSTRUCT (verifier
+/// I10): the template's variables, or — for aggregations — the grouping
+/// keys the template uses plus the aggregate outputs.
+std::vector<std::string> ConstructInputs(const xmlql::Query& query);
+
+/// Instantiates a CONSTRUCT template once per active row of `batch`,
+/// appending the instances to `parent` in row order. Bindings are read in
+/// place. Scalar variables become typed text; node-valued bindings are
+/// deep-cloned into place (ELEMENT_AS re-publication).
+Status InstantiateBatch(const xmlql::TemplateNode& tmpl,
+                        const TupleSchema& schema, const TupleBatch& batch,
+                        Node* parent);
 
 /// Drains `plan` and instantiates the template per tuple, collecting the
 /// instances under a root element named `root_name`. This is the top of

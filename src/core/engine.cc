@@ -54,6 +54,28 @@ void AddUnique(std::vector<std::string>* list, const std::string& item) {
   }
 }
 
+/// The availability policy for a branch that failed with `status` while
+/// the sources in `unavailable` were down: under kPartial a source outage
+/// degrades the branch (OK — the caller drops its answer and marks the
+/// query incomplete) unless a required source is among them (paper §3.4);
+/// every other failure fails the query.
+Status DegradeBranch(const Status& status,
+                     const std::vector<std::string>& unavailable,
+                     const QueryOptions& query_options,
+                     AvailabilityPolicy policy) {
+  if (status.code() != StatusCode::kUnavailable) return status;
+  for (const std::string& src : unavailable) {
+    for (const std::string& required : query_options.required_sources) {
+      if (required == src) {
+        return Status::Unavailable("required source '" + src +
+                                   "' is unavailable");
+      }
+    }
+  }
+  if (policy == AvailabilityPolicy::kFailFast) return status;
+  return Status::OK();
+}
+
 }  // namespace
 
 std::string ExecutionReport::Summary() const {
@@ -258,6 +280,28 @@ Result<QueryResult> IntegrationEngine::ExecuteText(
 
 QueryHandlePtr IntegrationEngine::Submit(std::string xmlql_text,
                                          const QueryOptions& query_options) {
+  return SubmitQuery(
+      [this, text = std::move(xmlql_text), query_options](
+          int64_t queue_wait_micros, const std::atomic<bool>* handle_cancel) {
+        return ExecuteTextNow(text, query_options, queue_wait_micros,
+                              handle_cancel);
+      },
+      query_options);
+}
+
+QueryHandlePtr IntegrationEngine::SubmitBindings(
+    std::string xmlql_text, size_t branch, const QueryOptions& query_options) {
+  return SubmitQuery(
+      [this, text = std::move(xmlql_text), branch, query_options](
+          int64_t queue_wait_micros, const std::atomic<bool>* handle_cancel) {
+        return ExecuteBindingsNow(text, branch, query_options,
+                                  queue_wait_micros, handle_cancel);
+      },
+      query_options);
+}
+
+QueryHandlePtr IntegrationEngine::SubmitQuery(
+    SubmittedQuery run, const QueryOptions& query_options) {
   auto handle = std::make_shared<QueryHandle>();
   if (scheduler_ == nullptr) {
     // No admission control configured: run asynchronously, unqueued. The
@@ -267,13 +311,11 @@ QueryHandlePtr IntegrationEngine::Submit(std::string xmlql_text,
       MutexLock lock(inflight_mutex_);
       ++inflight_submits_;
     }
-    pool()->Submit(
-        [this, handle, text = std::move(xmlql_text), query_options] {
-          handle->Fulfill(
-              ExecuteTextNow(text, query_options, 0, &handle->cancel_));
-          MutexLock lock(inflight_mutex_);
-          if (--inflight_submits_ == 0) inflight_cv_.NotifyAll();
-        });
+    pool()->Submit([this, handle, run = std::move(run)] {
+      handle->Fulfill(run(0, &handle->cancel_));
+      MutexLock lock(inflight_mutex_);
+      if (--inflight_submits_ == 0) inflight_cv_.NotifyAll();
+    });
     return handle;
   }
   sched::SubmitInfo info;
@@ -286,10 +328,8 @@ QueryHandlePtr IntegrationEngine::Submit(std::string xmlql_text,
   info.cancel = &handle->cancel_;
   auto submission = scheduler_->Submit(
       info,
-      [this, handle, text = std::move(xmlql_text),
-       query_options](int64_t queue_wait_micros) {
-        handle->Fulfill(ExecuteTextNow(text, query_options, queue_wait_micros,
-                                       &handle->cancel_));
+      [handle, run = std::move(run)](int64_t queue_wait_micros) {
+        handle->Fulfill(run(queue_wait_micros, &handle->cancel_));
       },
       [handle](const Status& status) { handle->Fulfill(status); });
   if (!submission.ok()) {
@@ -385,6 +425,17 @@ Result<QueryResult> IntegrationEngine::ExecuteFragmented(
     const QueryOptions& query_options, int64_t queue_wait_micros,
     const std::atomic<bool>* handle_cancel) {
   queries_served_.fetch_add(1, std::memory_order_relaxed);
+  ExecutionContext ctx =
+      NewContext(query_options, queue_wait_micros, handle_cancel);
+  Result<QueryResult> result =
+      ExecuteInternal(program, fragmentations, query_options, 0, ctx);
+  if (result.ok()) ctx.FillReport(&result->report);
+  return result;
+}
+
+ExecutionContext IntegrationEngine::NewContext(
+    const QueryOptions& query_options, int64_t queue_wait_micros,
+    const std::atomic<bool>* handle_cancel) {
   RetryPolicy retry;
   retry.max_retries = options_.fetch_retries;
   retry.initial_backoff_micros = options_.retry_backoff_micros;
@@ -392,12 +443,61 @@ Result<QueryResult> IntegrationEngine::ExecuteFragmented(
   retry.max_backoff_micros = options_.retry_backoff_max_micros;
   retry.jitter = options_.retry_jitter;
   retry.jitter_seed = options_.retry_jitter_seed;
-  ExecutionContext ctx(clock(), pool(), options_.query_deadline_micros, retry,
-                       options_.parallel_fetch, query_options.cancel,
-                       queue_wait_micros, handle_cancel);
-  Result<QueryResult> result =
-      ExecuteInternal(program, fragmentations, query_options, 0, ctx);
-  if (result.ok()) ctx.FillReport(&result->report);
+  return ExecutionContext(clock(), pool(), options_.query_deadline_micros,
+                          retry, options_.parallel_fetch, query_options.cancel,
+                          queue_wait_micros, handle_cancel);
+}
+
+Result<QueryResult> IntegrationEngine::ExecuteBindingsNow(
+    std::string_view xmlql_text, size_t branch,
+    const QueryOptions& query_options, int64_t queue_wait_micros,
+    const std::atomic<bool>* handle_cancel) {
+  NIMBLE_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledProgram> compiled,
+                          GetOrCompile(xmlql_text));
+  if (branch >= compiled->fragmentations.size() ||
+      compiled->fragmentations[branch].fragments.size() != 1) {
+    return Status::InvalidArgument(
+        "a bindings request needs a single-pattern branch");
+  }
+  const Fragmentation& fragmentation = compiled->fragmentations[branch];
+  const Fragment& fragment = fragmentation.fragments[0];
+  queries_served_.fetch_add(1, std::memory_order_relaxed);
+  ExecutionContext ctx =
+      NewContext(query_options, queue_wait_micros, handle_cancel);
+
+  QueryResult result;
+  ExecutionReport& report = result.report;
+  Result<FragmentResult> fr =
+      EvaluateFragment(fragment, query_options, /*view_depth=*/0,
+                       /*bind_values=*/nullptr, /*top_pushdown=*/nullptr,
+                       &report, ctx);
+  Bindings bindings;
+  if (fr.ok()) {
+    // A single-pattern branch has cross conditions only when they name a
+    // variable the pattern does not bind; binding them fails here exactly
+    // as it fails the local plan.
+    NIMBLE_RETURN_IF_ERROR(
+        FilterBatch(fragmentation.cross_conditions, fr->schema, &fr->data)
+            .status());
+    algebra::MaterializedScan scan(std::move(fr->schema), std::move(fr->data),
+                                   fr->label);
+    report.plan = scan.Describe();
+    bindings = Bindings{scan.schema(), scan.data()};
+  } else {
+    const AvailabilityPolicy policy =
+        query_options.availability.value_or(options_.availability);
+    NIMBLE_RETURN_IF_ERROR(DegradeBranch(fr.status(),
+                                         report.completeness.unavailable_sources,
+                                         query_options, policy));
+    report.completeness.complete = false;
+    report.completeness.skipped_branches.push_back(branch);
+    bindings = Bindings{fragment.schema,
+                        algebra::TupleBatch(fragment.schema.size())};
+  }
+  report.plan_with_stats = report.plan;
+  report.result_count = bindings.batch.size();
+  ctx.FillReport(&report);
+  result.bindings = std::move(bindings);
   return result;
 }
 
@@ -423,15 +523,11 @@ Result<QueryResult> IntegrationEngine::ExecuteInternal(
   std::vector<ExecutionReport> branch_reports(num_branches);
   std::vector<NodePtr> branch_roots(num_branches);
   std::vector<Status> branch_status(num_branches, Status::OK());
-  for (size_t i = 0; i < num_branches; ++i) {
-    branch_roots[i] = Node::Element("results");
-  }
 
   auto run_branch = [&](size_t i) {
     branch_status[i] =
         ExecuteBranch(program.branches[i], fragmentations[i], query_options,
-                      view_depth, branch_roots[i].get(), &branch_reports[i],
-                      ctx);
+                      view_depth, &branch_roots[i], &branch_reports[i], ctx);
   };
   if (options_.parallel_fetch && num_branches > 1) {
     std::vector<std::function<void()>> tasks;
@@ -481,21 +577,13 @@ Result<QueryResult> IntegrationEngine::ExecuteInternal(
       }
       continue;
     }
-    if (status.code() != StatusCode::kUnavailable) return status;
-
-    // An unavailable source. Who?
+    NIMBLE_RETURN_IF_ERROR(DegradeBranch(
+        status, branch_report.completeness.unavailable_sources, query_options,
+        policy));
     for (const std::string& src :
          branch_report.completeness.unavailable_sources) {
       AddUnique(&report.completeness.unavailable_sources, src);
-      // Required sources fail the query under any policy.
-      for (const std::string& required : query_options.required_sources) {
-        if (required == src) {
-          return Status::Unavailable("required source '" + src +
-                                     "' is unavailable");
-        }
-      }
     }
-    if (policy == AvailabilityPolicy::kFailFast) return status;
     report.completeness.complete = false;
     report.completeness.skipped_branches.push_back(branch);
   }
@@ -551,7 +639,7 @@ void IntegrationEngine::HarvestBindValues(
 Status IntegrationEngine::ExecuteBranch(const xmlql::Query& query,
                                         const Fragmentation& fragmentation,
                                         const QueryOptions& query_options,
-                                        int view_depth, Node* out_root,
+                                        int view_depth, NodePtr* out_root,
                                         ExecutionReport* report,
                                         ExecutionContext& ctx) {
   const size_t num_fragments = fragmentation.fragments.size();
@@ -704,60 +792,17 @@ Status IntegrationEngine::ExecuteBranch(const xmlql::Query& query,
 
   if (options_.verify_plans) {
     // IR invariants over the freshly built tree, then I10: the root schema
-    // must supply everything the CONSTRUCT template consumes (for
-    // aggregations, the grouping keys plus the "<fn>_<var>" outputs).
+    // must supply everything the CONSTRUCT template consumes.
     NIMBLE_RETURN_IF_ERROR(algebra::VerifyPlan(**plan));
-    std::vector<std::string> required;
-    if (query.IsAggregation()) {
-      query.construct->CollectNonAggregateVariables(&required);
-      std::vector<std::pair<xmlql::AggregateFn, std::string>> calls;
-      query.construct->CollectAggregates(&calls);
-      for (const auto& [fn, var] : calls) {
-        required.push_back(std::string(xmlql::AggregateFnName(fn)) + "_" +
-                           var);
-      }
-    } else {
-      query.construct->CollectVariables(&required);
-    }
-    NIMBLE_RETURN_IF_ERROR(
-        algebra::VerifyPlanProducesVariables(**plan, required));
+    NIMBLE_RETURN_IF_ERROR(algebra::VerifyPlanProducesVariables(
+        **plan, algebra::ConstructInputs(query)));
   }
 
-  // Drain the plan batch-at-a-time, instantiating the CONSTRUCT template
-  // per result row.
-  NIMBLE_RETURN_IF_ERROR((*plan)->Open());
-  size_t root_rows = 0;
-  while (true) {
-    Result<std::optional<algebra::TupleBatch>> batch = (*plan)->NextBatch();
-    if (!batch.ok()) return batch.status();
-    if (!(*batch).has_value()) break;
-    root_rows += (*batch)->size();
-    for (size_t i = 0; i < (*batch)->size(); ++i) {
-      Result<NodePtr> instance = algebra::InstantiateTemplate(
-          *query.construct, (*plan)->schema(), (*batch)->MaterializeTuple(i));
-      if (!instance.ok()) return instance.status();
-      out_root->AddChild(std::move(*instance));
-    }
-  }
-  (*plan)->Close();
+  NIMBLE_ASSIGN_OR_RETURN(*out_root,
+                          algebra::ConstructResult(plan->get(), *query.construct));
   // Counters survive Close(); render the executed plan with per-operator
   // batch/row production (and est_rows annotations) for EXPLAIN.
   report->plan_with_stats = (*plan)->DescribeWithStats();
-  // Adaptive feedback, join level: a root estimate off by more than the
-  // replan factor advances the stats epoch, evicting this query's cached
-  // plan so the next execution re-optimizes. LIMIT truncates and
-  // aggregation collapses the output, so those comparisons would be false
-  // positives and are skipped.
-  if (options_.enable_cost_optimizer && (*plan)->has_estimated_rows() &&
-      query.limit < 0 && !query.IsAggregation()) {
-    const double factor =
-        std::max(options_.replan_estimate_error_factor, 1.0);
-    double est = std::max((*plan)->estimated_rows(), 1.0);
-    double actual = std::max(static_cast<double>(root_rows), 1.0);
-    if (est > actual * factor || actual > est * factor) {
-      catalog_->statistics().BumpEpoch();
-    }
-  }
   return Status::OK();
 }
 
@@ -1072,38 +1117,11 @@ Result<std::unique_ptr<algebra::Operator>> IntegrationEngine::BuildPlan(
   double est = tree.est_rows;
 
   // Aggregation: group by the GROUP BY variables and compute the template's
-  // aggregate calls. Output variables are named "<fn>_<var>" and resolved
-  // by template instantiation (see algebra/construct.cc).
+  // aggregate calls (outputs named as algebra::AggregateSpecs documents).
   if (query.IsAggregation()) {
-    std::vector<std::pair<xmlql::AggregateFn, std::string>> calls;
-    query.construct->CollectAggregates(&calls);
-    std::vector<algebra::HashAggregate::Spec> specs;
-    for (const auto& [fn, var] : calls) {
-      if (!plan->schema().SlotOf(var).has_value()) {
-        return Status::InvalidArgument("aggregate over unbound variable $" +
-                                       var);
-      }
-      algebra::HashAggregate::Fn op = algebra::HashAggregate::Fn::kCount;
-      switch (fn) {
-        case xmlql::AggregateFn::kCount:
-          op = algebra::HashAggregate::Fn::kCount;
-          break;
-        case xmlql::AggregateFn::kSum:
-          op = algebra::HashAggregate::Fn::kSum;
-          break;
-        case xmlql::AggregateFn::kAvg:
-          op = algebra::HashAggregate::Fn::kAvg;
-          break;
-        case xmlql::AggregateFn::kMin:
-          op = algebra::HashAggregate::Fn::kMin;
-          break;
-        case xmlql::AggregateFn::kMax:
-          op = algebra::HashAggregate::Fn::kMax;
-          break;
-      }
-      specs.push_back(algebra::HashAggregate::Spec{
-          op, var, std::string(xmlql::AggregateFnName(fn)) + "_" + var});
-    }
+    NIMBLE_ASSIGN_OR_RETURN(
+        std::vector<algebra::HashAggregate::Spec> specs,
+        algebra::AggregateSpecs(*query.construct, plan->schema()));
     plan = std::make_unique<algebra::HashAggregate>(
         std::move(plan), query.group_by, std::move(specs));
     if (cost_based && est >= 0.0) {

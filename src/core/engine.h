@@ -2,6 +2,7 @@
 #define NIMBLE_CORE_ENGINE_H_
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -99,10 +100,10 @@ struct EngineOptions {
   /// Records sampled per collection by Analyze() (0 = all rows). Row
   /// counts are always exact; per-column detail comes from the sample.
   size_t analyze_sample_rows = 10000;
-  /// Adaptive replanning trigger: when an estimated cardinality is off
-  /// from the executor's observed row count by more than this factor (in
-  /// either direction), the statistics epoch advances and cached plans
-  /// re-optimize. Clamped to >= 1.
+  /// Adaptive statistics trigger: when a collection's recorded row count is
+  /// off from the count a scan observed by more than this factor (in either
+  /// direction), the count is corrected and the statistics epoch advances.
+  /// Clamped to >= 1.
   double replan_estimate_error_factor = 10.0;
   /// Run the three-stage static-analysis pass (strict semantic analysis
   /// with catalog resolution, fragmentation verification with SQL
@@ -188,12 +189,22 @@ struct ExecutionReport {
   std::string Summary() const;
 };
 
+/// Variable bindings of one evaluated fragment: the tuples the physical
+/// algebra passes between operators, before any CONSTRUCT.
+struct Bindings {
+  algebra::TupleSchema schema;
+  algebra::TupleBatch batch;
+};
+
 /// A query answer: the constructed XML document plus its report. When the
 /// answer was served from a result cache, `document` is a *frozen* shared
 /// snapshot — read it freely, but mutate only through MutableDocument().
+/// A bindings request (IntegrationEngine::SubmitBindings) answers with
+/// `bindings` and no document; every other path leaves `bindings` empty.
 struct QueryResult {
   NodePtr document;
   ExecutionReport report;
+  std::optional<Bindings> bindings;
 
   /// Copy-on-write escape hatch: if `document` is a frozen cache snapshot,
   /// replaces it with a private deep copy (detaching from the cache) and
@@ -276,6 +287,24 @@ class IntegrationEngine {
   QueryHandlePtr Submit(std::string xmlql_text,
                         const QueryOptions& query_options = {});
 
+  /// Asynchronous bindings request — the scatter-gather shard side. Compiles
+  /// `xmlql_text` through the plan cache and evaluates only branch
+  /// `branch`, which must have a single pattern: fetch, pattern match and
+  /// local conditions. The handle resolves to a QueryResult whose
+  /// `bindings` hold the surviving tuples; no aggregation, ORDER BY, LIMIT
+  /// or CONSTRUCT runs, nothing is pushed into the source beyond its local
+  /// conditions, and the result cache is bypassed. Admission, deadlines,
+  /// cancellation and the availability policy apply as for Submit.
+  QueryHandlePtr SubmitBindings(std::string xmlql_text, size_t branch,
+                                const QueryOptions& query_options = {});
+
+  /// Compiled program for `text`: a plan-cache hit, or parse + fragment
+  /// (and, with `verify_plans`, the static-analysis pass against this
+  /// engine's catalog) — the same compile ExecuteText runs first, so a
+  /// caller planning its own execution sees the same errors.
+  Result<std::shared_ptr<const CompiledProgram>> GetOrCompile(
+      std::string_view text);
+
   /// Executes a parsed program (uncached: the caller owns the AST).
   /// Bypasses admission control — callers holding a raw AST manage their
   /// own concurrency.
@@ -348,6 +377,17 @@ class IntegrationEngine {
   /// `max_inflight_queries` is 0).
   void ConfigureScheduler();
 
+  /// The body of one submitted query: runs with the time it spent queued
+  /// and the handle's cancel flag.
+  using SubmittedQuery = std::function<Result<QueryResult>(
+      int64_t queue_wait_micros, const std::atomic<bool>* handle_cancel)>;
+
+  /// Submit/SubmitBindings core: runs `run` through the admission
+  /// scheduler (or straight on the worker pool when it is off) and
+  /// resolves the returned handle with its outcome.
+  QueryHandlePtr SubmitQuery(SubmittedQuery run,
+                             const QueryOptions& query_options);
+
   /// Synchronous execution core: the pre-scheduler ExecuteText body.
   /// `queue_wait_micros` (time already spent queued) is charged against the
   /// query deadline; `handle_cancel` is the async handle's cancel flag.
@@ -356,9 +396,18 @@ class IntegrationEngine {
                                      int64_t queue_wait_micros,
                                      const std::atomic<bool>* handle_cancel);
 
-  /// Compiled program for `text`: plan-cache hit or parse+fragment.
-  Result<std::shared_ptr<const CompiledProgram>> GetOrCompile(
-      std::string_view text);
+  /// Synchronous SubmitBindings body.
+  Result<QueryResult> ExecuteBindingsNow(std::string_view xmlql_text,
+                                         size_t branch,
+                                         const QueryOptions& query_options,
+                                         int64_t queue_wait_micros,
+                                         const std::atomic<bool>* handle_cancel);
+
+  /// A fresh per-query context over this engine's clock, pool, deadline
+  /// and retry policy.
+  ExecutionContext NewContext(const QueryOptions& query_options,
+                              int64_t queue_wait_micros,
+                              const std::atomic<bool>* handle_cancel);
 
   /// Full execution of a fragmented program (counts as a served query).
   /// `fragmentations` lines up with `program.branches` and points into it.
@@ -374,14 +423,15 @@ class IntegrationEngine {
       const QueryOptions& query_options, int view_depth,
       ExecutionContext& ctx);
 
-  /// Executes one branch into `out_root`; fills the branch-local `report`
-  /// (ordered fields only — numeric counters go through `ctx`).
-  /// `fragmentation` was compiled from `query` and may be shared across
-  /// concurrent executions (read-only).
+  /// Executes one branch; on success `*out_root` holds its instances under
+  /// a "results" root. Fills the branch-local `report` (ordered fields only
+  /// — numeric counters go through `ctx`). `fragmentation` was compiled
+  /// from `query` and may be shared across concurrent executions
+  /// (read-only).
   Status ExecuteBranch(const xmlql::Query& query,
                        const Fragmentation& fragmentation,
                        const QueryOptions& query_options, int view_depth,
-                       Node* out_root, ExecutionReport* report,
+                       NodePtr* out_root, ExecutionReport* report,
                        ExecutionContext& ctx);
 
   /// `bind_values` (nullable) carries complete distinct join-key sets from

@@ -11,15 +11,11 @@
 #include "algebra/construct.h"
 #include "algebra/tuple.h"
 #include "dist/merge.h"
-#include "xml/serializer.h"
-#include "xmlql/parser.h"
-#include "xmlql/printer.h"
 
 namespace nimble {
 namespace dist {
 namespace {
 
-using xmlql::AggregateFn;
 using xmlql::Condition;
 using xmlql::ElementPattern;
 using xmlql::TemplateNode;
@@ -35,70 +31,6 @@ Status CheckCancelled(const std::atomic<bool>* cancel) {
     return Status::Cancelled("query cancelled during shard gather");
   }
   return Status::OK();
-}
-
-// --- AST deep clones (Query owns unique_ptr subtrees) ----------------------
-
-void ClonePatternInto(const ElementPattern& in, ElementPattern* out) {
-  out->tag = in.tag;
-  out->descendant = in.descendant;
-  out->attributes = in.attributes;
-  out->content_variable = in.content_variable;
-  out->content_literal = in.content_literal;
-  out->element_variable = in.element_variable;
-  out->pos = in.pos;
-  for (const std::unique_ptr<ElementPattern>& child : in.children) {
-    auto clone = std::make_unique<ElementPattern>();
-    ClonePatternInto(*child, clone.get());
-    out->children.push_back(std::move(clone));
-  }
-}
-
-std::unique_ptr<TemplateNode> CloneTemplate(const TemplateNode& in) {
-  auto out = std::make_unique<TemplateNode>();
-  out->kind = in.kind;
-  out->tag = in.tag;
-  out->attributes = in.attributes;
-  out->variable = in.variable;
-  out->aggregate = in.aggregate;
-  out->text = in.text;
-  out->pos = in.pos;
-  for (const std::unique_ptr<TemplateNode>& child : in.children) {
-    out->children.push_back(CloneTemplate(*child));
-  }
-  return out;
-}
-
-xmlql::Query CloneQuery(const xmlql::Query& in) {
-  xmlql::Query out;
-  for (const xmlql::PatternClause& pattern : in.patterns) {
-    xmlql::PatternClause clause;
-    clause.source = pattern.source;
-    clause.pos = pattern.pos;
-    ClonePatternInto(pattern.root, &clause.root);
-    out.patterns.push_back(std::move(clause));
-  }
-  out.conditions = in.conditions;
-  out.group_by = in.group_by;
-  out.group_by_pos = in.group_by_pos;
-  out.construct = CloneTemplate(*in.construct);
-  out.order_by = in.order_by;
-  out.limit = in.limit;
-  return out;
-}
-
-/// "__n…" element names are the coordinator's transport vocabulary
-/// (__nsk/__ngk/__nag/__npart); a template already using them could not be
-/// told apart from the annotations, so such queries run undistributed.
-bool UsesReservedNames(const TemplateNode& node) {
-  if (node.kind == TemplateNode::Kind::kElement &&
-      node.tag.rfind("__n", 0) == 0) {
-    return true;
-  }
-  for (const std::unique_ptr<TemplateNode>& child : node.children) {
-    if (UsesReservedNames(*child)) return true;
-  }
-  return false;
 }
 
 bool PatternHasElementVariable(const ElementPattern& pattern) {
@@ -140,35 +72,10 @@ std::vector<const ElementPattern*> RecordPatterns(const ElementPattern& root) {
   return records;
 }
 
-/// Typed value carried by one transport annotation element: scalar bindings
-/// travel as a single typed text child; node bindings (ELEMENT_AS sort
-/// keys) travel as the cloned element, compared by its scalar view just as
-/// the engine's Sort compares node bindings.
-Value AnnotationValue(const Node& annotation) {
-  const std::vector<NodePtr>& kids = annotation.children();
-  if (kids.size() == 1 && kids[0] != nullptr && kids[0]->is_element()) {
-    return kids[0]->ScalarValue();
-  }
-  return annotation.ScalarValue();
-}
-
 void AddUnique(std::vector<std::string>* list, const std::string& value) {
   if (std::find(list->begin(), list->end(), value) == list->end()) {
     list->push_back(value);
   }
-}
-
-/// Group identity, mirroring HashAggregate's key (value text + type per
-/// slot) so distributed grouping coincides with shard-local grouping.
-std::string GroupKey(const std::vector<Value>& values) {
-  std::string key;
-  for (const Value& v : values) {
-    key += v.ToString();
-    key += '\x1f';
-    key += ValueTypeName(v.type());
-    key += '\x1e';
-  }
-  return key;
 }
 
 bool DegradableCode(StatusCode code) {
@@ -182,42 +89,18 @@ int64_t ElapsedMicros(std::chrono::steady_clock::time_point since) {
       .count();
 }
 
-/// Per-(fn, variable) partial-aggregate accumulator — the distributed half
-/// of HashAggregate's Accum. Shard engines run the decomposed aggregates;
-/// the coordinator recombines them with the same skip-null / numeric-sum /
-/// Compare-extremes rules the operator applies per row.
-struct PartialAcc {
-  int64_t count = 0;
-  double sum = 0.0;
-  bool any = false;  ///< some shard saw a non-null input.
-  Value extreme;     ///< running min or max (per the partial's fn).
-};
-
-struct GroupState {
-  std::vector<Value> keys;  ///< group variable values, in GROUP BY order.
-  std::vector<PartialAcc> accs;
-};
-
 }  // namespace
 
 struct Coordinator::BranchPlan {
   const xmlql::Query* query = nullptr;
+  /// The branch's single pattern, as the local engine fragments it.
+  const core::Fragment* fragment = nullptr;
   const metadata::FragmentMap* map = nullptr;
   std::string source_name;
   std::string source_label;  ///< "source:collection".
-  bool aggregate = false;
-  std::string shard_text;
   std::vector<size_t> target_shards;
   size_t pruned = 0;
   double est_rows = -1.0;
-  /// Aggregation decomposition: the template's distinct (fn, var) calls and
-  /// the deduplicated partials shipped to shards (avg → sum + count).
-  std::vector<std::pair<AggregateFn, std::string>> aggregates;
-  std::vector<std::pair<AggregateFn, std::string>> partials;
-  /// Gather-side ordering (ORDER BY spec of the original query).
-  std::vector<std::string> order_vars;
-  std::vector<bool> descending;
-  int64_t limit = -1;
 };
 
 Coordinator::Coordinator(ShardCluster* cluster, DistOptions options,
@@ -238,13 +121,15 @@ CoordinatorCounters Coordinator::counters() const {
   return out;
 }
 
-bool Coordinator::PlanBranch(const xmlql::Query& query, BranchPlan* plan,
-                             std::string* reason) const {
+bool Coordinator::PlanBranch(const xmlql::Query& query,
+                             const core::Fragmentation& fragmentation,
+                             BranchPlan* plan, std::string* reason) const {
   plan->query = &query;
   if (query.patterns.size() != 1) {
     *reason = "multi-pattern join";
     return false;
   }
+  plan->fragment = &fragmentation.fragments[0];
   const xmlql::SourceRef& ref = query.patterns[0].source;
   if (ref.is_view()) {
     *reason = "mediated-view source";
@@ -274,40 +159,8 @@ bool Coordinator::PlanBranch(const xmlql::Query& query, BranchPlan* plan,
     *reason = "non-element construct root";
     return false;
   }
-  if (UsesReservedNames(*query.construct)) {
-    *reason = "template uses reserved __n names";
-    return false;
-  }
 
-  plan->limit = query.limit;
-  for (const xmlql::OrderSpec& spec : query.order_by) {
-    plan->order_vars.push_back(spec.variable);
-    plan->descending.push_back(spec.descending);
-  }
-
-  plan->aggregate = query.IsAggregation();
-  xmlql::Query shard_query = CloneQuery(query);
-  // LIMIT is gather-side only: a shard-local LIMIT would pick an arbitrary
-  // per-shard subset and the merged answer would depend on the shard count.
-  shard_query.limit = -1;
-
-  if (!plan->aggregate) {
-    // Shape A (row gather): annotate each result row with its sort keys so
-    // the gather side can merge order-preserving without re-deriving them.
-    for (size_t i = 0; i < query.order_by.size(); ++i) {
-      auto annotation = std::make_unique<TemplateNode>();
-      annotation->kind = TemplateNode::Kind::kElement;
-      annotation->tag = "__nsk" + std::to_string(i);
-      auto variable = std::make_unique<TemplateNode>();
-      variable->kind = TemplateNode::Kind::kVariable;
-      variable->variable = query.order_by[i].variable;
-      annotation->children.push_back(std::move(variable));
-      shard_query.construct->children.push_back(std::move(annotation));
-    }
-  } else {
-    // Shape B (partial aggregation): ship GROUP BY plus decomposed
-    // aggregates; the original template is instantiated at the gather side
-    // from the recombined values.
+  if (query.IsAggregation()) {
     if (PatternHasElementVariable(query.patterns[0].root)) {
       *reason = "ELEMENT_AS binding in aggregation";
       return false;
@@ -319,86 +172,21 @@ bool Coordinator::PlanBranch(const xmlql::Query& query, BranchPlan* plan,
         return false;
       }
     }
-    for (const std::string& var : plan->order_vars) {
-      if (seen_groups.count(var) == 0) {
+    for (const xmlql::OrderSpec& spec : query.order_by) {
+      if (seen_groups.count(spec.variable) == 0) {
         *reason = "ORDER BY variable is not a grouping key";
         return false;
       }
     }
-    query.construct->CollectAggregates(&plan->aggregates);
-    std::set<std::string> seen_outputs;
-    for (const std::string& var : query.group_by) seen_outputs.insert(var);
-    for (const auto& [fn, var] : plan->aggregates) {
-      if (!seen_outputs
-               .insert(std::string(xmlql::AggregateFnName(fn)) + "_" + var)
-               .second) {
+    std::vector<std::pair<xmlql::AggregateFn, std::string>> aggregates;
+    query.construct->CollectAggregates(&aggregates);
+    for (const auto& [fn, var] : aggregates) {
+      if (!seen_groups.insert(algebra::AggregateOutputName(fn, var)).second) {
         *reason = "aggregate output name collides with a grouping key";
         return false;
       }
     }
-    std::set<std::string> seen_partials;
-    auto add_partial = [&](AggregateFn fn, const std::string& var) {
-      if (seen_partials
-              .insert(std::string(xmlql::AggregateFnName(fn)) + "\x1f" + var)
-              .second) {
-        plan->partials.emplace_back(fn, var);
-      }
-    };
-    for (const auto& [fn, var] : plan->aggregates) {
-      switch (fn) {
-        case AggregateFn::kCount:
-          add_partial(AggregateFn::kCount, var);
-          break;
-        case AggregateFn::kSum:
-          add_partial(AggregateFn::kSum, var);
-          break;
-        case AggregateFn::kAvg:
-          add_partial(AggregateFn::kSum, var);
-          add_partial(AggregateFn::kCount, var);
-          break;
-        case AggregateFn::kMin:
-          add_partial(AggregateFn::kMin, var);
-          break;
-        case AggregateFn::kMax:
-          add_partial(AggregateFn::kMax, var);
-          break;
-      }
-    }
-
-    auto root = std::make_unique<TemplateNode>();
-    root->kind = TemplateNode::Kind::kElement;
-    root->tag = "__npart";
-    for (size_t i = 0; i < query.group_by.size(); ++i) {
-      auto annotation = std::make_unique<TemplateNode>();
-      annotation->kind = TemplateNode::Kind::kElement;
-      annotation->tag = "__ngk" + std::to_string(i);
-      auto variable = std::make_unique<TemplateNode>();
-      variable->kind = TemplateNode::Kind::kVariable;
-      variable->variable = query.group_by[i];
-      annotation->children.push_back(std::move(variable));
-      root->children.push_back(std::move(annotation));
-    }
-    for (size_t j = 0; j < plan->partials.size(); ++j) {
-      auto annotation = std::make_unique<TemplateNode>();
-      annotation->kind = TemplateNode::Kind::kElement;
-      annotation->tag = "__nag" + std::to_string(j);
-      auto agg = std::make_unique<TemplateNode>();
-      agg->kind = TemplateNode::Kind::kAggregate;
-      agg->aggregate = plan->partials[j].first;
-      agg->variable = plan->partials[j].second;
-      annotation->children.push_back(std::move(agg));
-      root->children.push_back(std::move(annotation));
-    }
-    shard_query.construct = std::move(root);
-    shard_query.order_by.clear();
   }
-
-  Result<std::string> printed = xmlql::PrintQuery(shard_query);
-  if (!printed.ok()) {
-    *reason = "rewrite not printable: " + printed.status().message();
-    return false;
-  }
-  plan->shard_text = std::move(*printed);
 
   // --- Shard pruning from the partition key -------------------------------
   std::vector<size_t> targets = plan->map->AllFragments();
@@ -474,23 +262,25 @@ bool Coordinator::PlanBranch(const xmlql::Query& query, BranchPlan* plan,
 
 Result<core::QueryResult> Coordinator::ExecuteText(
     std::string_view xmlql_text, const core::QueryOptions& query_options) {
-  Result<xmlql::Program> program = xmlql::ParseProgram(xmlql_text);
-  if (!program.ok()) return program.status();
-
-  std::vector<BranchPlan> plans(program->branches.size());
-  for (size_t b = 0; b < program->branches.size(); ++b) {
+  NIMBLE_ASSIGN_OR_RETURN(std::shared_ptr<const core::CompiledProgram> compiled,
+                          local_.GetOrCompile(xmlql_text));
+  const std::vector<xmlql::Query>& branches = compiled->program.branches;
+  std::vector<BranchPlan> plans(branches.size());
+  for (size_t b = 0; b < branches.size(); ++b) {
     std::string reason;
-    if (!PlanBranch(program->branches[b], &plans[b], &reason)) {
+    if (!PlanBranch(branches[b], compiled->fragmentations[b], &plans[b],
+                    &reason)) {
       fallback_queries_.fetch_add(1, std::memory_order_relaxed);
       return local_.ExecuteText(xmlql_text, query_options);
     }
   }
   scatter_queries_.fetch_add(1, std::memory_order_relaxed);
-  return ExecuteScattered(std::move(plans), query_options);
+  return ExecuteScattered(xmlql_text, std::move(plans), query_options);
 }
 
 Result<core::QueryResult> Coordinator::ExecuteScattered(
-    std::vector<BranchPlan> plans, const core::QueryOptions& query_options) {
+    std::string_view xmlql_text, std::vector<BranchPlan> plans,
+    const core::QueryOptions& query_options) {
   const core::AvailabilityPolicy policy = query_options.availability.value_or(
       local_.options().availability);
   core::QueryOptions shard_options = query_options;
@@ -508,9 +298,8 @@ Result<core::QueryResult> Coordinator::ExecuteScattered(
     for (size_t shard : plans[b].target_shards) {
       ShardRun run;
       run.shard = shard;
-      run.handle =
-          cluster_->shard_engine(shard)->Submit(plans[b].shard_text,
-                                                shard_options);
+      run.handle = cluster_->shard_engine(shard)->SubmitBindings(
+          std::string(xmlql_text), b, shard_options);
       runs[b].push_back(std::move(run));
       ++dispatched;
     }
@@ -593,11 +382,13 @@ Result<core::QueryResult> Coordinator::ExecuteScattered(
     }
   }
 
-  // --- Merge each branch's shard answers ----------------------------------
+  // --- Gather each branch's shard bindings --------------------------------
+  const algebra::CancelProbe cancel_probe = [cancel] {
+    return CheckCancelled(cancel);
+  };
   std::string plan_text, plan_stats_text;
   for (size_t b = 0; b < plans.size(); ++b) {
     const BranchPlan& plan = plans[b];
-    const xmlql::Query& query = *plan.query;
 
     std::string shard_list;
     for (size_t i = 0; i < plan.target_shards.size(); ++i) {
@@ -618,8 +409,9 @@ Result<core::QueryResult> Coordinator::ExecuteScattered(
     plan_text += scatter_header;
     plan_stats_text += scatter_header;
 
-    // Collect successful shard answers (and their reports).
-    std::vector<core::QueryResult> shard_results;
+    // Concatenate the answering shards' bindings into the gather's input.
+    const algebra::TupleSchema& schema = plan.fragment->schema;
+    algebra::TupleBatch rows(schema.size());
     size_t degraded = 0;
     for (ShardRun& run : runs[b]) {
       const std::string header = "-- shard " + std::to_string(run.shard) +
@@ -630,14 +422,10 @@ Result<core::QueryResult> Coordinator::ExecuteScattered(
         ++degraded;
         continue;
       }
-      core::QueryResult shard_result = **run.outcome;
+      const core::QueryResult& shard_result = **run.outcome;
       const core::ExecutionReport& sr = shard_result.report;
       plan_text += sr.plan;
-      if (!plan_text.empty() && plan_text.back() != '\n') plan_text += "\n";
       plan_stats_text += sr.plan_with_stats;
-      if (!plan_stats_text.empty() && plan_stats_text.back() != '\n') {
-        plan_stats_text += "\n";
-      }
       report.rows_shipped += sr.rows_shipped;
       report.fragments_pushed_down += sr.fragments_pushed_down;
       report.fragments_fetched += sr.fragments_fetched;
@@ -658,214 +446,31 @@ Result<core::QueryResult> Coordinator::ExecuteScattered(
           AddUnique(&report.completeness.unavailable_sources, src);
         }
       }
-      shard_results.push_back(std::move(shard_result));
+      const std::optional<core::Bindings>& bindings = shard_result.bindings;
+      if (!bindings.has_value() || !(bindings->schema == schema)) {
+        return Status::Internal("shard " + std::to_string(run.shard) +
+                                " answered without the branch's bindings");
+      }
+      for (size_t i = 0; i < bindings->batch.size(); ++i) {
+        rows.AppendRowFrom(bindings->batch, i);
+      }
     }
     if (!runs[b].empty() && degraded == runs[b].size()) {
       report.completeness.skipped_branches.push_back(b);
     }
 
-    size_t branch_merge_rows = 0;
-    if (!plan.aggregate) {
-      // Shape A: strip the __nsk sort-key annotations, sort every shard
-      // stream canonically, k-way merge, apply LIMIT.
-      const size_t num_keys = plan.order_vars.size();
-      MergeComparator cmp(plan.descending);
-      std::vector<std::vector<MergeItem>> streams;
-      streams.reserve(shard_results.size());
-      for (core::QueryResult& shard_result : shard_results) {
-        NodePtr doc = shard_result.MutableDocument();
-        std::vector<MergeItem> stream;
-        for (NodePtr& instance : doc->TakeChildren()) {
-          MergeItem item;
-          const size_t n = instance->children().size();
-          if (n < num_keys) {
-            return Status::Internal("shard row lost its sort annotations");
-          }
-          item.keys.resize(num_keys);
-          for (size_t k = 0; k < num_keys; ++k) {
-            const Node& annotation = *instance->children()[n - num_keys + k];
-            if (annotation.name() != "__nsk" + std::to_string(k)) {
-              return Status::Internal("mis-shaped sort annotation " +
-                                      annotation.name());
-            }
-            item.keys[k] = AnnotationValue(annotation);
-          }
-          for (size_t k = 0; k < num_keys; ++k) {
-            instance->RemoveChild(instance->children().size() - 1);
-          }
-          item.bytes = ToXml(*instance);
-          item.node = std::move(instance);
-          stream.push_back(std::move(item));
-        }
-        std::sort(stream.begin(), stream.end(),
-                  [&cmp](const MergeItem& a, const MergeItem& b) {
-                    return cmp.Less(a, b);
-                  });
-        streams.push_back(std::move(stream));
-      }
-      std::vector<MergeItem> merged =
-          KWayMerge(std::move(streams), cmp, &branch_merge_rows);
-      if (plan.limit >= 0 &&
-          merged.size() > static_cast<size_t>(plan.limit)) {
-        merged.resize(static_cast<size_t>(plan.limit));
-      }
-      for (MergeItem& item : merged) {
-        out.document->AddChild(std::move(item.node));
-      }
-    } else {
-      // Shape B: recombine partial aggregates per group, finalize with
-      // HashAggregate's rules, instantiate the original template.
-      const size_t num_groups = query.group_by.size();
-      const size_t num_partials = plan.partials.size();
-      std::map<std::string, size_t> index;
-      std::vector<GroupState> groups;
-      for (core::QueryResult& shard_result : shard_results) {
-        NodePtr doc = shard_result.MutableDocument();
-        for (const NodePtr& part : doc->TakeChildren()) {
-          if (!part->is_element() || part->name() != "__npart" ||
-              part->children().size() != num_groups + num_partials) {
-            return Status::Internal("mis-shaped partial-aggregate row");
-          }
-          std::vector<Value> keys(num_groups);
-          for (size_t i = 0; i < num_groups; ++i) {
-            keys[i] = AnnotationValue(*part->children()[i]);
-          }
-          auto [it, inserted] = index.try_emplace(GroupKey(keys), groups.size());
-          if (inserted) {
-            GroupState state;
-            state.keys = std::move(keys);
-            state.accs.resize(num_partials);
-            groups.push_back(std::move(state));
-          }
-          GroupState& state = groups[it->second];
-          for (size_t j = 0; j < num_partials; ++j) {
-            const Value v = AnnotationValue(*part->children()[num_groups + j]);
-            PartialAcc& acc = state.accs[j];
-            switch (plan.partials[j].first) {
-              case AggregateFn::kCount:
-                acc.count += v.is_numeric()
-                                 ? static_cast<int64_t>(v.NumericValue())
-                                 : 0;
-                break;
-              case AggregateFn::kSum:
-                if (!v.is_null()) {
-                  acc.sum += v.NumericValue();
-                  acc.any = true;
-                }
-                break;
-              case AggregateFn::kMin:
-                if (!v.is_null()) {
-                  if (!acc.any || v.Compare(acc.extreme) < 0) acc.extreme = v;
-                  acc.any = true;
-                }
-                break;
-              case AggregateFn::kMax:
-                if (!v.is_null()) {
-                  if (!acc.any || v.Compare(acc.extreme) > 0) acc.extreme = v;
-                  acc.any = true;
-                }
-                break;
-              case AggregateFn::kAvg:
-                return Status::Internal("avg survived decomposition");
-            }
-          }
-        }
-      }
-
-      std::map<std::string, size_t> partial_of;
-      for (size_t j = 0; j < num_partials; ++j) {
-        partial_of[std::string(xmlql::AggregateFnName(plan.partials[j].first)) +
-                   "\x1f" + plan.partials[j].second] = j;
-      }
-      algebra::TupleSchema schema;
-      for (const std::string& var : query.group_by) schema.AddVariable(var);
-      for (const auto& [fn, var] : plan.aggregates) {
-        schema.AddVariable(std::string(xmlql::AggregateFnName(fn)) + "_" + var);
-      }
-
-      MergeComparator cmp(plan.descending);
-      std::vector<MergeItem> items;
-      items.reserve(groups.size());
-      for (const GroupState& state : groups) {
-        algebra::Tuple tuple(schema.size());
-        for (size_t i = 0; i < num_groups; ++i) {
-          tuple[i] = algebra::Binding{state.keys[i]};
-        }
-        size_t slot = num_groups;
-        for (const auto& [fn, var] : plan.aggregates) {
-          auto acc_of = [&](AggregateFn pfn) -> const PartialAcc& {
-            return state.accs[partial_of.at(
-                std::string(xmlql::AggregateFnName(pfn)) + "\x1f" + var)];
-          };
-          Value final_value;
-          switch (fn) {
-            case AggregateFn::kCount:
-              final_value = Value::Int(acc_of(AggregateFn::kCount).count);
-              break;
-            case AggregateFn::kSum: {
-              const PartialAcc& acc = acc_of(AggregateFn::kSum);
-              final_value =
-                  acc.any ? Value::Double(acc.sum) : Value::Null();
-              break;
-            }
-            case AggregateFn::kAvg: {
-              const PartialAcc& sum_acc = acc_of(AggregateFn::kSum);
-              const int64_t count = acc_of(AggregateFn::kCount).count;
-              final_value =
-                  count > 0
-                      ? Value::Double(sum_acc.sum / static_cast<double>(count))
-                      : Value::Null();
-              break;
-            }
-            case AggregateFn::kMin:
-            case AggregateFn::kMax: {
-              const PartialAcc& acc = acc_of(fn);
-              final_value = acc.any ? acc.extreme : Value::Null();
-              break;
-            }
-          }
-          tuple[slot++] = algebra::Binding{final_value};
-        }
-        NIMBLE_ASSIGN_OR_RETURN(
-            NodePtr instance,
-            algebra::InstantiateTemplate(*query.construct, schema, tuple));
-        MergeItem item;
-        item.keys.reserve(plan.order_vars.size());
-        for (const std::string& var : plan.order_vars) {
-          size_t group_slot = 0;
-          for (size_t i = 0; i < query.group_by.size(); ++i) {
-            if (query.group_by[i] == var) group_slot = i;
-          }
-          item.keys.push_back(state.keys[group_slot]);
-        }
-        item.bytes = ToXml(*instance);
-        item.node = std::move(instance);
-        items.push_back(std::move(item));
-      }
-      std::sort(items.begin(), items.end(),
-                [&cmp](const MergeItem& a, const MergeItem& b) {
-                  return cmp.Less(a, b);
-                });
-      branch_merge_rows = items.size();
-      if (plan.limit >= 0 && items.size() > static_cast<size_t>(plan.limit)) {
-        items.resize(static_cast<size_t>(plan.limit));
-      }
-      for (MergeItem& item : items) {
-        out.document->AddChild(std::move(item.node));
-      }
-    }
-
-    total_merge_rows += branch_merge_rows;
+    NIMBLE_ASSIGN_OR_RETURN(
+        GatherStats gathered,
+        Gather(*plan.query, schema, std::move(rows),
+               local_.options().verify_plans, cancel_probe,
+               out.document.get()));
+    total_merge_rows += gathered.merge_rows;
     const std::string gather_line =
-        "gather: merge rows=" + std::to_string(branch_merge_rows) +
-        " order_by=" + std::to_string(plan.order_vars.size()) + " limit=" +
-        std::to_string(plan.limit) +
-        (plan.aggregate
-             ? " partial_aggregates=" + std::to_string(plan.partials.size())
-             : "") +
-        "\n";
-    plan_text += gather_line;
-    plan_stats_text += gather_line;
+        "gather: merge rows=" + std::to_string(gathered.merge_rows) +
+        " order_by=" + std::to_string(plan.query->order_by.size()) +
+        " limit=" + std::to_string(plan.query->limit) + "\n";
+    plan_text += gather_line + gathered.plan;
+    plan_stats_text += gather_line + gathered.plan_with_stats;
   }
 
   merge_rows_.fetch_add(total_merge_rows, std::memory_order_relaxed);

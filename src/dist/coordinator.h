@@ -35,24 +35,25 @@ struct CoordinatorCounters {
   uint64_t fallback_queries = 0;  ///< queries run whole on the local engine.
   uint64_t subqueries = 0;        ///< per-shard subplans dispatched.
   uint64_t shards_pruned = 0;     ///< shard subplans skipped by pruning.
-  uint64_t merge_rows = 0;        ///< rows through the gather-side merge.
+  uint64_t merge_rows = 0;        ///< rows through the gather's sort.
   uint64_t stragglers = 0;        ///< shard subplans past their deadline.
   uint64_t partial_results = 0;   ///< queries answered incomplete.
 };
 
-/// The scatter-gather coordinator (DESIGN.md §2i): parses a query, decides
-/// per UNION branch whether it can be scattered over the cluster's shard
-/// engines, rewrites it into a per-shard subplan (sort-key annotations for
-/// order-preserving gather, partial-aggregate decomposition for
-/// sum/count/avg/min/max, LIMIT lifted to the gather side), prunes shards
-/// that cannot hold matching rows, and merges the shard answers into a
+/// The scatter-gather coordinator (DESIGN.md §2i): compiles a query,
+/// decides per UNION branch whether it can be scattered over the cluster's
+/// shard engines, and prunes shards that cannot hold matching rows. Each
+/// target shard gets the query text and a branch index and answers with
+/// the bindings of that branch's single pattern (fetch, match, local
+/// conditions). The gather concatenates them and runs the rest of the
+/// branch — aggregation, CONSTRUCT, canonical order, LIMIT — producing a
 /// result byte-identical to what one engine over the unsharded data in
 /// canonical order would produce.
 ///
 /// Anything it cannot prove distributable — multi-pattern joins, view
-/// sources, unsharded collections, unprintable rewrites — falls back to an
-/// owned local engine over the global (unsharded) catalog, so every query
-/// keeps working; distribution is purely an optimization.
+/// sources, unsharded collections — falls back to an owned local engine
+/// over the global (unsharded) catalog, so every query keeps working;
+/// distribution is purely an optimization.
 ///
 /// ExecuteText is safe to call from many threads at once.
 class Coordinator {
@@ -76,13 +77,15 @@ class Coordinator {
   struct BranchPlan;
 
   /// Decides scatterability of one branch and, when scatterable, fills the
-  /// plan (rewritten shard text, target shards, merge spec). Returns false
-  /// with a reason when the branch must fall back.
-  bool PlanBranch(const xmlql::Query& query, BranchPlan* plan,
+  /// plan (target shards, pruning, EXPLAIN detail). Returns false with a
+  /// reason when the branch must fall back.
+  bool PlanBranch(const xmlql::Query& query,
+                  const core::Fragmentation& fragmentation, BranchPlan* plan,
                   std::string* reason) const;
 
   Result<core::QueryResult> ExecuteScattered(
-      std::vector<BranchPlan> plans, const core::QueryOptions& query_options);
+      std::string_view xmlql_text, std::vector<BranchPlan> plans,
+      const core::QueryOptions& query_options);
 
   ShardCluster* cluster_;
   DistOptions options_;

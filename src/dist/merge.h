@@ -3,57 +3,36 @@
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
+#include "algebra/operators.h"
+#include "algebra/tuple.h"
+#include "common/result.h"
 #include "xml/node.h"
-#include "xml/value.h"
+#include "xmlql/ast.h"
 
 namespace nimble {
 namespace dist {
 
-/// One result row travelling through the gather-side merge: the (stripped)
-/// result element plus its sort keys and a canonical-serialization tiebreak.
-struct MergeItem {
-  /// ORDER BY key values, in spec order (empty when the query has none).
-  std::vector<Value> keys;
-  /// Canonical ToXml of `node` — the total-order tiebreak that makes the
-  /// merged output byte-deterministic regardless of shard count. Ties on
-  /// identical bytes are genuinely interchangeable rows.
-  std::string bytes;
-  NodePtr node;
+/// What one branch's gather did, for EXPLAIN and the monitor.
+struct GatherStats {
+  size_t merge_rows = 0;  ///< rows through the canonical sort (pre-LIMIT).
+  std::string plan;       ///< the gather's operator plan, indented one level.
+  std::string plan_with_stats;
 };
 
-/// Total order over MergeItems: ORDER BY keys first (Value::Compare, each
-/// possibly descending), canonical bytes ascending as the tiebreak.
-class MergeComparator {
- public:
-  explicit MergeComparator(std::vector<bool> descending)
-      : descending_(std::move(descending)) {}
-
-  bool Less(const MergeItem& a, const MergeItem& b) const {
-    const size_t n = std::min(a.keys.size(), b.keys.size());
-    for (size_t i = 0; i < n; ++i) {
-      int cmp = a.keys[i].Compare(b.keys[i]);
-      if (cmp != 0) {
-        const bool desc = i < descending_.size() && descending_[i];
-        return desc ? cmp > 0 : cmp < 0;
-      }
-    }
-    return a.bytes < b.bytes;
-  }
-
- private:
-  std::vector<bool> descending_;
-};
-
-/// Order-preserving k-way merge: each stream must already be sorted by
-/// `cmp` (the coordinator sorts per-shard streams before merging); the
-/// result is the sorted union. `merge_rows`, when non-null, is incremented
-/// once per row that passed through the merge heap (the EXPLAIN / monitor
-/// gauge).
-std::vector<MergeItem> KWayMerge(std::vector<std::vector<MergeItem>> streams,
-                                 const MergeComparator& cmp,
-                                 size_t* merge_rows);
+/// The gather half of one scattered branch (DESIGN.md §2i). `rows` holds
+/// every answering shard's bindings for the branch's single pattern,
+/// concatenated under `schema`. The gather runs the same HashAggregate the
+/// local engine builds (for aggregations), instantiates CONSTRUCT per row,
+/// puts the instances in canonical order — ORDER BY keys first, then their
+/// canonical ToXml bytes, so the answer is byte-identical whatever the
+/// shard count — applies LIMIT last and appends the survivors to `out`.
+/// `verify` runs the plan verifier (I1–I13, including I10 against the
+/// template) before the drain; `cancel` is polled between batches.
+Result<GatherStats> Gather(const xmlql::Query& query,
+                           algebra::TupleSchema schema,
+                           algebra::TupleBatch rows, bool verify,
+                           algebra::CancelProbe cancel, Node* out);
 
 }  // namespace dist
 }  // namespace nimble

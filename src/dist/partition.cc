@@ -81,11 +81,9 @@ Result<PartitionedCollection> PartitionCollection(const Node& root,
   }
 
   out.fragment_stats.reserve(spec.num_fragments);
-  out.map.fragment_rows.reserve(spec.num_fragments);
   for (const NodePtr& fragment : out.fragments) {
     out.fragment_stats.push_back(metadata::AnalyzeCollectionTree(
         spec.source, spec.collection, *fragment, /*sample_rows=*/0));
-    out.map.fragment_rows.push_back(out.fragment_stats.back().row_count);
   }
   out.merged_stats = metadata::MergeCollectionStats(out.fragment_stats);
   return out;

@@ -13,10 +13,10 @@ namespace metadata {
 
 /// How one collection is split into horizontal fragments — the catalog-side
 /// description of a sharded collection (the hdk `TableFragmentsInfo` shape:
-/// fragment count, keying, and per-fragment row counts). The map is pure
-/// metadata: the fragment *trees* live with the shard cluster that serves
-/// them; this records how a row's partition-key value maps to a fragment so
-/// the coordinator can prune shards without touching data.
+/// fragment count and keying). The map is pure metadata: the fragment
+/// *trees* — and their live row counts — live with the shard cluster that
+/// serves them; this records how a row's partition-key value maps to a
+/// fragment so the coordinator can prune shards without touching data.
 ///
 /// Keying:
 ///  - kHash: fragment = HashValue(key) % num_fragments. HashValue is the
@@ -39,8 +39,6 @@ struct FragmentMap {
   size_t num_fragments = 1;
   /// kRange only: ascending exclusive upper bounds, size num_fragments-1.
   std::vector<Value> range_upper_bounds;
-  /// Per-fragment row counts at partitioning time (monitor/EXPLAIN detail).
-  std::vector<double> fragment_rows;
 
   /// Fragment the partitioner assigns a row with this key value to.
   size_t FragmentForKey(const Value& key) const;

@@ -27,11 +27,12 @@ struct CostModel {
   /// Per-row cost of a full collection scan (the alternative an index
   /// nested-loop join avoids).
   double scan_cost = 1.0;
-  /// Fixed per-shard overhead of a scatter: subplan print/parse, dispatch
-  /// through the pool, and the gather-side bookkeeping. In "row touches" so
-  /// it trades off directly against the per-row work it parallelizes.
+  /// Fixed per-shard overhead of a scatter: the shard's compile (a plan
+  /// cache hit when warm), dispatch through the pool, and the gather-side
+  /// bookkeeping. In "row touches" so it trades off directly against the
+  /// per-row work it parallelizes.
   double scatter_overhead_per_shard = 50.0;
-  /// Per-row cost of the gather-side k-way merge (heap pop + comparison).
+  /// Per-row cost of the gather (concatenation + canonical-order sort).
   double merge_cost_per_row = 1.0;
 
   /// Cost of hash-joining the pair, given the chosen build side.

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -18,26 +20,28 @@
 #include "metadata/fragment_map.h"
 #include "xml/serializer.h"
 #include "xmlql/parser.h"
-#include "xmlql/printer.h"
 
 namespace nimble {
 namespace dist {
 namespace {
 
 /// End-to-end tests for the scatter-gather subsystem: partitioning,
-/// pruning, order-preserving merge, partial-aggregate decomposition,
+/// pruning, the bindings gather (aggregation, CONSTRUCT, canonical order),
 /// straggler degradation, repartitioning, and the monitor surface. The
 /// correctness oracle throughout is the coordinator's own local fallback
 /// engine running the same query over the unsharded global catalog.
 
 constexpr size_t kItems = 16;
 
+/// Items 0..n-1 in four groups. `bonus` is set on ids 0-2 only, so groups
+/// a-c each have one non-null bonus among nulls and group d has none.
 std::string ItemsXml(size_t n) {
   static const char* kGroups[] = {"a", "b", "c", "d"};
   std::string xml = "<items>";
   for (size_t i = 0; i < n; ++i) {
     xml += "<item><id>" + std::to_string(i) + "</id><grp>" + kGroups[i % 4] +
-           "</grp><val>" + std::to_string((i * 7) % 23) + "</val></item>";
+           "</grp><val>" + std::to_string((i * 7) % 23) + "</val><bonus>" +
+           (i < 3 ? std::to_string(10 + i) : "") + "</bonus></item>";
   }
   return xml + "</items>";
 }
@@ -68,6 +72,25 @@ constexpr char kAggregateQuery[] =
     " IN \"src:items\" "
     "CONSTRUCT <o><k>$g</k><n>count($v)</n><s>sum($v)</s><a>avg($v)</a>"
     "<lo>min($v)</lo><hi>max($v)</hi></o> GROUP BY $g ORDER BY $g";
+
+/// A template spelled with the element names the old XML transport used
+/// for its sort-key and partial-aggregate annotations.
+constexpr char kReservedNamesQuery[] =
+    "WHERE <items><item><id>$i</id><grp>$g</grp></item></items>"
+    " IN \"src:items\" "
+    "CONSTRUCT <__npart><__nsk0>$i</__nsk0><g>$g</g></__npart> "
+    "ORDER BY $i LIMIT 6";
+
+constexpr char kNullInputsAggregateQuery[] =
+    "WHERE <items><item><grp>$g</grp><bonus>$b</bonus></item></items>"
+    " IN \"src:items\" "
+    "CONSTRUCT <o><k>$g</k><n>count($b)</n><s>sum($b)</s><a>avg($b)</a>"
+    "<lo>min($b)</lo><hi>max($b)</hi></o> GROUP BY $g ORDER BY $g";
+
+constexpr char kElementOrderQuery[] =
+    "WHERE <items><item><id>$i</id><val ELEMENT_AS $e>$v</val></item>"
+    "</items> IN \"src:items\" "
+    "CONSTRUCT <r><id>$i</id>$e</r> ORDER BY $e DESC LIMIT 5";
 
 struct DistFixture {
   std::unique_ptr<metadata::Catalog> catalog;
@@ -121,6 +144,33 @@ std::vector<std::string> SortedChildrenXml(const Node& doc) {
   std::vector<std::string> out = ChildrenXml(doc);
   std::sort(out.begin(), out.end());
   return out;
+}
+
+size_t ShardPlanCacheHits(DistFixture& fx) {
+  size_t hits = 0;
+  for (size_t shard = 0; shard < fx.cluster->num_shards(); ++shard) {
+    hits += fx.cluster->shard_engine(shard)->plan_cache()->stats().hits;
+  }
+  return hits;
+}
+
+/// Whether some group's `bonus` inputs are all null on one shard but not on
+/// another — the shape the null-input aggregate case needs.
+bool SomeGroupIsNullOnlyOnSomeShards(const DistFixture& fx) {
+  std::map<std::string, std::set<bool>> seen;  // group → {shard has a value}
+  for (size_t shard = 0; shard < fx.cluster->num_shards(); ++shard) {
+    ConstNodePtr fragment = fx.cluster->registry().Get("src", "items", shard);
+    std::map<std::string, bool> has_value;
+    for (const NodePtr& item : fragment->children()) {
+      bool& any = has_value[item->FindChild("grp")->ScalarValue().ToString()];
+      any = any || !item->FindChild("bonus")->ScalarValue().is_null();
+    }
+    for (const auto& [group, any] : has_value) seen[group].insert(any);
+  }
+  for (const auto& [group, kinds] : seen) {
+    if (kinds.size() == 2) return true;
+  }
+  return false;
 }
 
 // ---- Partitioner units ----------------------------------------------------
@@ -215,10 +265,14 @@ TEST(CoordinatorTest, ScatterMatchesLocalEngineOnHashShards) {
     const char* text;
     bool ordered;
   };
+  ASSERT_TRUE(SomeGroupIsNullOnlyOnSomeShards(fx));
   const Case cases[] = {
       {"ordered", kOrderedQuery, true},
       {"unordered", kUnorderedQuery, false},
       {"aggregate", kAggregateQuery, true},
+      {"reserved_names", kReservedNamesQuery, true},
+      {"null_inputs_aggregate", kNullInputsAggregateQuery, true},
+      {"element_order", kElementOrderQuery, true},
   };
   for (const Case& c : cases) {
     Result<core::QueryResult> got = fx.coordinator->ExecuteText(c.text);
@@ -239,10 +293,16 @@ TEST(CoordinatorTest, ScatterMatchesLocalEngineOnHashShards) {
     EXPECT_TRUE(got->report.completeness.complete) << c.name;
   }
   CoordinatorCounters counters = fx.coordinator->counters();
-  EXPECT_EQ(counters.scatter_queries, 3u);
+  EXPECT_EQ(counters.scatter_queries, 6u);
   EXPECT_EQ(counters.fallback_queries, 0u);
-  EXPECT_EQ(counters.subqueries, 12u);
+  EXPECT_EQ(counters.subqueries, 24u);
   EXPECT_GT(counters.merge_rows, 0u);
+
+  // Shards compile the query text through their own plan caches, so a
+  // repeated scattered query is a hit on every target shard.
+  const size_t hits_before = ShardPlanCacheHits(fx);
+  ASSERT_TRUE(fx.coordinator->ExecuteText(kAggregateQuery).ok());
+  EXPECT_EQ(ShardPlanCacheHits(fx), hits_before + 4);
 }
 
 TEST(CoordinatorTest, ScatterMatchesLocalEngineOnRangeShards) {
@@ -349,9 +409,13 @@ TEST(CoordinatorTest, ExplainShowsScatterAndGatherRows) {
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_NE(got->report.plan.find("scatter: src:items"), std::string::npos)
       << got->report.plan;
-  EXPECT_NE(got->report.plan.find("-- shard 0"), std::string::npos)
+  EXPECT_NE(got->report.plan.find("-- shard 0 --\nScan(fetch:src:items"),
+            std::string::npos)
       << got->report.plan;
-  EXPECT_NE(got->report.plan.find("gather: merge rows="), std::string::npos)
+  // 13 rows pass $i > 2; the gather's own operator plan sits under its line.
+  EXPECT_NE(got->report.plan.find("gather: merge rows=13 order_by=1 limit=5\n"
+                                  "  Scan(gather, 13 tuples)"),
+            std::string::npos)
       << got->report.plan;
   EXPECT_NE(got->report.plan.find("est_cost="), std::string::npos)
       << got->report.plan;
@@ -572,27 +636,6 @@ TEST(MonitorTest, StatusDocumentShowsDistributionSection) {
   EXPECT_EQ(fragment_map->GetAttribute("collection"), Value::String("items"));
   // The section renders through the terminal view as well.
   EXPECT_NE(monitor.ToText().find("distribution"), std::string::npos);
-}
-
-// ---- Printer round trips --------------------------------------------------
-
-TEST(PrinterTest, QueriesRoundTripThroughPrintAndReparse) {
-  const std::string programs[] = {
-      kOrderedQuery,
-      kUnorderedQuery,
-      kAggregateQuery,
-      std::string(kUnorderedQuery) + "\nUNION\n" + kOrderedQuery,
-  };
-  for (const std::string& text : programs) {
-    Result<xmlql::Program> parsed = xmlql::ParseProgram(text);
-    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << text;
-    Result<std::string> printed = xmlql::PrintProgram(*parsed);
-    ASSERT_TRUE(printed.ok()) << printed.status().ToString() << "\n" << text;
-    Result<xmlql::Program> reparsed = xmlql::ParseProgram(*printed);
-    ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString() << "\n"
-                               << *printed;
-    EXPECT_TRUE(xmlql::ProgramsEqual(*parsed, *reparsed)) << *printed;
-  }
 }
 
 }  // namespace

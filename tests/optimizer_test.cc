@@ -321,6 +321,56 @@ TEST_F(OptimizerEngineTest, FeedbackCorrectsMisestimateWithinOneRound) {
       << second->report.plan_with_stats;
 }
 
+// A root estimate that is structurally wrong does not churn the plan cache.
+// The estimator ignores pattern literals, so this join's root is estimated
+// at ~200 rows against 5 actual. Plans are re-optimized from live
+// statistics on every execution, so nothing is gained by evicting the
+// cached program: runs 2 and 3 are plan-cache hits and the statistics
+// epoch never moves.
+TEST(PlanCacheFeedbackTest, PatternLiteralMisestimateKeepsCachedPlan) {
+  std::string orders = "<orders>";
+  std::string lines = "<lines>";
+  for (int oid = 0; oid < 200; ++oid) {
+    orders += "<order><oid>" + std::to_string(oid) + "</oid><cust>" +
+              std::to_string(oid % 40) + "</cust></order>";
+    lines += "<line><oid>" + std::to_string(oid) + "</oid><sku>s" +
+             std::to_string(oid % 7) + "</sku></line>";
+  }
+  auto sales = std::make_unique<connector::XmlConnector>("sales");
+  ASSERT_TRUE(sales->PutDocumentText("orders", orders + "</orders>").ok());
+  ASSERT_TRUE(sales->PutDocumentText("lines", lines + "</lines>").ok());
+  metadata::Catalog catalog;
+  ASSERT_TRUE(catalog.RegisterSource(std::move(sales)).ok());
+  core::EngineOptions opts;
+  opts.verify_plans = true;
+  core::IntegrationEngine engine(&catalog, opts);
+  ASSERT_TRUE(engine.Analyze().ok());
+
+  const char* q =
+      "WHERE <orders><order><oid>$o</oid><cust>17</cust></order></orders>"
+      " IN \"sales:orders\", <lines><line><oid>$o</oid><sku>$s</sku></line>"
+      "</lines> IN \"sales:lines\" "
+      "CONSTRUCT <l order=$o><sku>$s</sku></l> ORDER BY $o";
+  const uint64_t epoch = catalog.statistics().epoch();
+  for (int run = 1; run <= 3; ++run) {
+    Result<core::QueryResult> r = engine.ExecuteText(q);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->report.result_count, 5u);
+    if (run == 1) {
+      // The misestimate is real: the root claims far more rows than ran.
+      EXPECT_NE(r->report.plan_with_stats.find("{est_rows=200, batches=1, "
+                                               "rows=5}"),
+                std::string::npos)
+          << r->report.plan_with_stats;
+    }
+  }
+  core::PlanCache::Stats stats = engine.plan_cache()->stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.stats_evictions, 0u);
+  EXPECT_EQ(catalog.statistics().epoch(), epoch);
+}
+
 // Per-source pushdown depth: once statistics show the bind-join IN list
 // covering most of the remote column's distinct values, the cost model
 // drops the bind (it prunes nothing) and ships the plain SQL fragment.
