@@ -7,8 +7,10 @@
 //      small cache captures a large share;
 //  (b) TTL tradeoff: short TTLs bound staleness but lose hits when the
 //      underlying data churns;
-//  (c) singleflight: N concurrent identical misses collapse into one
-//      engine execution (the rest coalesce onto the leader's flight);
+//  (c) singleflight: N concurrent identical misses through
+//      ResultCache::LookupOrCompute around ExecuteText — the lens cache's
+//      path — collapse into one engine execution (the rest coalesce onto
+//      the leader's flight);
 //  (d) zero-copy hits: a hit hands out a shared frozen snapshot, so hit
 //      latency is O(1) in result size — unlike the deep-clone-per-hit
 //      scheme it replaces, which is O(result size).
@@ -45,7 +47,7 @@ struct World {
   std::vector<std::string> queries;
 };
 
-std::unique_ptr<World> MakeWorld(core::EngineOptions options = {}) {
+std::unique_ptr<World> MakeWorld() {
   auto world = std::make_unique<World>();
   connector::SimulationConfig config;
   config.fixed_latency_micros = 3000;
@@ -55,8 +57,7 @@ std::unique_ptr<World> MakeWorld(core::EngineOptions options = {}) {
   world->holder = std::make_unique<bench::RemoteRelationalSource>(
       std::move(src));
   (void)world->catalog.RegisterSource(std::move(world->holder->connector));
-  world->engine =
-      std::make_unique<core::IntegrationEngine>(&world->catalog, options);
+  world->engine = std::make_unique<core::IntegrationEngine>(&world->catalog);
   for (size_t q = 0; q < kDistinctQueries; ++q) {
     int lo = static_cast<int>((q * 131) % 950);
     world->queries.push_back(
@@ -191,33 +192,44 @@ int main() {
   }
 
   std::printf("\nE8(c): singleflight — N concurrent identical cold misses\n"
-              "(engine result cache on; executions counts real engine "
-              "runs)\n\n");
+              "(LookupOrCompute around ExecuteText; executions counts real "
+              "engine runs)\n\n");
   bench::PrintRow({"clients", "executions", "coalesced", "hits", "wall_ms"});
   bench::PrintRule(5);
   for (size_t clients : {1u, 4u, 16u, 64u}) {
-    core::EngineOptions options;
-    options.result_cache_bytes = 8u << 20;
-    std::unique_ptr<World> world = MakeWorld(options);
+    std::unique_ptr<World> world = MakeWorld();
+    materialize::ResultCache cache(8u << 20, 0, &world->clock);
     const std::string& query = world->queries[0];
     std::vector<std::thread> threads;
     threads.reserve(clients);
     double start = NowMs();
     for (size_t t = 0; t < clients; ++t) {
       threads.emplace_back([&] {
-        Result<core::QueryResult> result = world->engine->ExecuteText(query);
-        if (!result.ok()) std::abort();
+        Result<ConstNodePtr> snapshot = cache.LookupOrCompute(
+            query, [&]() -> Result<materialize::ResultCache::Computed> {
+              NIMBLE_ASSIGN_OR_RETURN(core::QueryResult result,
+                                      world->engine->ExecuteText(query));
+              materialize::ResultCache::Computed computed;
+              computed.document = std::move(result.document);
+              return computed;
+            });
+        if (!snapshot.ok()) std::abort();
       });
     }
     for (std::thread& t : threads) t.join();
     double wall = NowMs() - start;
-    materialize::CacheStats stats = world->engine->result_cache()->stats();
+    materialize::CacheStats stats = cache.stats();
+    const uint64_t executions = world->engine->queries_served();
     bench::PrintRow({FmtInt(static_cast<int64_t>(clients)),
-                     FmtInt(static_cast<int64_t>(
-                         world->engine->queries_served())),
+                     FmtInt(static_cast<int64_t>(executions)),
                      FmtInt(static_cast<int64_t>(stats.coalesced)),
                      FmtInt(static_cast<int64_t>(stats.hits)),
                      Fmt(wall, 2)});
+    if (executions != 1) {
+      std::printf("FAIL: %zu clients ran %llu executions, expected 1\n",
+                  clients, static_cast<unsigned long long>(executions));
+      return 1;
+    }
   }
 
   std::printf("\nE8(d): hit latency vs result size — shared snapshot vs "

@@ -127,6 +127,10 @@ int main() {
   std::printf("served_from_cache=%s; cache hit rate %.0f%%\n\n",
               again->served_from_cache ? "true" : "false",
               cache.stats().HitRate() * 100);
+  if (!again->served_from_cache) {
+    std::fprintf(stderr, "error: the repeat page missed the lens cache\n");
+    return 1;
+  }
 
   std::printf("== price export without a token ==\n");
   Result<frontend::LensResult> denied = lenses.Invoke("price_export");

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <map>
 
-#include "relational/executor.h"  // for LikeMatch
+#include "common/strings.h"
 
 namespace nimble {
 namespace algebra {
@@ -51,10 +51,12 @@ bool EvalBound(const BoundCondition& c, BindingAt&& binding_at) {
   const Value& rhs = c.rhs_slot >= 0
                          ? binding_at(static_cast<size_t>(c.rhs_slot)).AsScalar()
                          : c.rhs_literal;
-  if (c.op == xmlql::Condition::Op::kLike) {
-    return relational::LikeMatch(lhs.ToString(), rhs.ToString());
-  }
+  // A null operand makes every comparison false, LIKE included — as in the
+  // SQL the pushed-down path runs, so pushdown never changes an answer.
   if (lhs.is_null() || rhs.is_null()) return false;
+  if (c.op == xmlql::Condition::Op::kLike) {
+    return LikeMatch(lhs.ToString(), rhs.ToString());
+  }
   int cmp = lhs.Compare(rhs);
   switch (c.op) {
     case xmlql::Condition::Op::kEq:

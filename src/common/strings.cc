@@ -97,4 +97,27 @@ std::string ReplaceAll(std::string_view s, std::string_view from,
   return out;
 }
 
+bool LikeMatch(std::string_view text, std::string_view pattern) {
+  // Iterative wildcard match with backtracking on '%'.
+  size_t t = 0, p = 0;
+  size_t star_p = std::string_view::npos, star_t = 0;
+  while (t < text.size()) {
+    if (p < pattern.size() &&
+        (pattern[p] == '_' || pattern[p] == text[t])) {
+      ++t;
+      ++p;
+    } else if (p < pattern.size() && pattern[p] == '%') {
+      star_p = p++;
+      star_t = t;
+    } else if (star_p != std::string_view::npos) {
+      p = star_p + 1;
+      t = ++star_t;
+    } else {
+      return false;
+    }
+  }
+  while (p < pattern.size() && pattern[p] == '%') ++p;
+  return p == pattern.size();
+}
+
 }  // namespace nimble

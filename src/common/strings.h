@@ -35,6 +35,11 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 std::string ReplaceAll(std::string_view s, std::string_view from,
                        std::string_view to);
 
+/// SQL LIKE pattern matching ('%' = any run, '_' = any one char),
+/// case-sensitive. Shared by the source SQL executor and the mediator's
+/// conditions, so both sides of pushdown match identically.
+bool LikeMatch(std::string_view text, std::string_view pattern);
+
 }  // namespace nimble
 
 #endif  // NIMBLE_COMMON_STRINGS_H_

@@ -24,8 +24,6 @@ namespace connector {
 struct SourceCapabilities {
   bool supports_sql = false;         ///< accepts pushed-down SELECT text.
   bool supports_predicates = false;  ///< can filter inside the source.
-  bool supports_joins = false;       ///< can join collections internally.
-  bool supports_aggregates = false;
   /// (table, column) pairs with a source-side index.
   std::vector<std::pair<std::string, std::string>> indexed_columns;
 

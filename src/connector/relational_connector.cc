@@ -7,8 +7,6 @@ SourceCapabilities RelationalConnector::capabilities() const {
   SourceCapabilities caps;
   caps.supports_sql = true;
   caps.supports_predicates = true;
-  caps.supports_joins = true;
-  caps.supports_aggregates = true;
   // The catalog walk below must not race with DDL through ExecuteSql.
   ReaderMutexLock lock(db_mutex_);
   for (const std::string& table_name : db_->TableNames()) {

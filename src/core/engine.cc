@@ -12,7 +12,6 @@
 #include "core/sql_generator.h"
 #include "opt/cardinality.h"
 #include "opt/optimizer.h"
-#include "xmlql/parser.h"
 
 namespace nimble {
 namespace core {
@@ -74,6 +73,11 @@ Status DegradeBranch(const Status& status,
   }
   if (policy == AvailabilityPolicy::kFailFast) return status;
   return Status::OK();
+}
+
+std::unique_ptr<PlanCache> MakePlanCache(const EngineOptions& options) {
+  return std::make_unique<PlanCache>(
+      std::max<size_t>(options.plan_cache_entries, 1));
 }
 
 }  // namespace
@@ -138,8 +142,9 @@ void QueryHandle::Fulfill(Result<QueryResult> result) {
 
 IntegrationEngine::IntegrationEngine(metadata::Catalog* catalog,
                                      EngineOptions options)
-    : catalog_(catalog), options_(options) {
-  ConfigureCaches();
+    : catalog_(catalog),
+      options_(options),
+      plan_cache_(MakePlanCache(options)) {
   ConfigureScheduler();
 }
 
@@ -149,40 +154,8 @@ IntegrationEngine::~IntegrationEngine() {
   // capture — a cancelled scatter-gather straggler abandons its handle
   // while the query is still executing — so wait them out before any
   // member is torn down.
-  {
-    MutexLock lock(inflight_mutex_);
-    while (inflight_submits_ > 0) inflight_cv_.Wait(inflight_mutex_);
-  }
-  if (catalog_listener_token_ != 0) {
-    catalog_->RemoveUpdateListener(catalog_listener_token_);
-  }
-}
-
-void IntegrationEngine::ConfigureCaches() {
-  plan_cache_ = options_.plan_cache_entries == 0
-                    ? nullptr
-                    : std::make_unique<PlanCache>(options_.plan_cache_entries);
-  if (options_.result_cache_bytes == 0) {
-    result_cache_.reset();
-  } else {
-    materialize::ResultCacheOptions cache_options;
-    cache_options.max_bytes = options_.result_cache_bytes;
-    cache_options.ttl_micros = options_.result_cache_ttl_micros;
-    result_cache_ = std::make_unique<materialize::ResultCache>(cache_options,
-                                                               clock());
-  }
-  // Source updates drop every cached answer that depended on the source.
-  if (result_cache_ != nullptr && catalog_listener_token_ == 0) {
-    catalog_listener_token_ = catalog_->AddUpdateListener(
-        [this](const std::string& source_name) {
-          if (result_cache_ != nullptr) {
-            result_cache_->InvalidateTag(source_name);
-          }
-        });
-  } else if (result_cache_ == nullptr && catalog_listener_token_ != 0) {
-    catalog_->RemoveUpdateListener(catalog_listener_token_);
-    catalog_listener_token_ = 0;
-  }
+  MutexLock lock(inflight_mutex_);
+  while (inflight_submits_ > 0) inflight_cv_.Wait(inflight_mutex_);
 }
 
 void IntegrationEngine::set_options(const EngineOptions& options) {
@@ -196,7 +169,7 @@ void IntegrationEngine::set_options(const EngineOptions& options) {
              owned_pool_->size() != options_.worker_threads) {
     owned_pool_ = std::make_unique<ThreadPool>(options_.worker_threads);
   }
-  ConfigureCaches();
+  plan_cache_ = MakePlanCache(options_);
   ConfigureScheduler();
 }
 
@@ -240,16 +213,7 @@ Result<std::shared_ptr<const CompiledProgram>> IntegrationEngine::GetOrCompile(
   const uint64_t epoch = options_.enable_cost_optimizer
                              ? catalog_->statistics().epoch()
                              : 0;
-  if (!options_.verify_plans) {
-    if (plan_cache_ != nullptr) return plan_cache_->GetOrCompile(text, epoch);
-    return CompileProgram(text);
-  }
-  if (plan_cache_ == nullptr) {
-    NIMBLE_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledProgram> compiled,
-                            CompileProgram(text));
-    NIMBLE_RETURN_IF_ERROR(VerifyCompiledProgram(*compiled, *catalog_));
-    return compiled;
-  }
+  if (!options_.verify_plans) return plan_cache_->GetOrCompile(text, epoch);
   // Cached plans are re-verified on every hit: a plan compiled against an
   // older catalog (a collection dropped, a view redefined) is evicted and
   // recompiled instead of executed.
@@ -348,87 +312,11 @@ Result<QueryResult> IntegrationEngine::ExecuteTextNow(
     int64_t queue_wait_micros, const std::atomic<bool>* handle_cancel) {
   NIMBLE_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledProgram> compiled,
                           GetOrCompile(xmlql_text));
-  // Queries with a caller-owned cancellation flag bypass the result cache:
-  // a singleflight waiter cannot cancel the leader's execution, and a
-  // cancelled leader must not fail everyone else's identical query. (A
-  // QueryHandle's cancel flag does NOT force a bypass — it always covers
-  // the queued phase, and covers execution only on this uncached path;
-  // cancelling mid-execution on the shared singleflight path is
-  // best-effort-none for the same reason.)
-  if (result_cache_ == nullptr || query_options.cancel != nullptr) {
-    return ExecuteFragmented(compiled->program, compiled->fragmentations,
-                             query_options, queue_wait_micros, handle_cancel);
-  }
-
-  QueryResult executed;
-  bool ran = false;
-  Result<ConstNodePtr> snapshot = result_cache_->LookupOrCompute(
-      CanonicalizeQueryText(xmlql_text),
-      [&]() -> Result<materialize::ResultCache::Computed> {
-        Result<QueryResult> result =
-            ExecuteFragmented(compiled->program, compiled->fragmentations,
-                              query_options, queue_wait_micros, nullptr);
-        if (!result.ok()) return result.status();
-        executed = std::move(*result);
-        ran = true;
-        materialize::ResultCache::Computed computed;
-        computed.document = executed.document;
-        // Incomplete answers must not mask the sources' recovery.
-        computed.cacheable = executed.report.completeness.complete;
-        computed.tags = executed.report.sources_contacted;
-        return computed;
-      });
-  NIMBLE_RETURN_IF_ERROR(snapshot.status());
-  if (ran) {
-    // The leader's document was frozen when it was published; its report is
-    // the real execution report.
-    // nimble-lint: frozen(zero-copy cache seam; callers mutate via QueryResult::MutableDocument which clones)
-    executed.document = std::const_pointer_cast<Node>(*snapshot);
-    return executed;
-  }
-  // Cache hit or singleflight waiter: share the frozen snapshot.
-  QueryResult result;
-  // nimble-lint: frozen(zero-copy cache seam; callers mutate via QueryResult::MutableDocument which clones)
-  result.document = std::const_pointer_cast<Node>(*snapshot);
-  result.report.result_count = result.document->children().size();
-  result.report.served_from_cache = true;
-  result.report.queue_wait_micros = queue_wait_micros;
-  Value complete = result.document->GetAttribute("complete");
-  result.report.completeness.complete = !complete.is_bool() || complete.AsBool();
-  return result;
-}
-
-Result<QueryResult> IntegrationEngine::Execute(
-    const xmlql::Program& program, const QueryOptions& query_options) {
-  std::vector<Fragmentation> fragmentations;
-  fragmentations.reserve(program.branches.size());
-  for (const xmlql::Query& branch : program.branches) {
-    fragmentations.push_back(FragmentQuery(branch));
-  }
-  if (options_.verify_plans) {
-    CatalogResolver resolver(*catalog_);
-    xmlql::AnalysisOptions analysis;
-    analysis.resolver = &resolver;
-    analysis.strict = true;
-    NIMBLE_RETURN_IF_ERROR(xmlql::AnalyzeProgram(program, analysis));
-    for (size_t i = 0; i < program.branches.size(); ++i) {
-      NIMBLE_RETURN_IF_ERROR(VerifyFragmentation(program.branches[i],
-                                                 fragmentations[i], *catalog_));
-    }
-  }
-  return ExecuteFragmented(program, fragmentations, query_options);
-}
-
-Result<QueryResult> IntegrationEngine::ExecuteFragmented(
-    const xmlql::Program& program,
-    const std::vector<Fragmentation>& fragmentations,
-    const QueryOptions& query_options, int64_t queue_wait_micros,
-    const std::atomic<bool>* handle_cancel) {
   queries_served_.fetch_add(1, std::memory_order_relaxed);
   ExecutionContext ctx =
       NewContext(query_options, queue_wait_micros, handle_cancel);
-  Result<QueryResult> result =
-      ExecuteInternal(program, fragmentations, query_options, 0, ctx);
+  Result<QueryResult> result = ExecuteInternal(
+      compiled->program, compiled->fragmentations, query_options, 0, ctx);
   if (result.ok()) ctx.FillReport(&result->report);
   return result;
 }
@@ -589,20 +477,7 @@ Result<QueryResult> IntegrationEngine::ExecuteInternal(
   }
 
   report.result_count = result.document->children().size();
-  // Surface completeness on the document itself so downstream consumers
-  // (lenses, devices) can display it (§3.4: "indicating to the user that
-  // the results were not complete").
-  result.document->SetAttribute(
-      "complete", Value::Bool(report.completeness.complete));
-  if (!report.completeness.complete) {
-    std::string missing;
-    for (size_t i = 0; i < report.completeness.unavailable_sources.size();
-         ++i) {
-      if (i > 0) missing += ",";
-      missing += report.completeness.unavailable_sources[i];
-    }
-    result.document->SetAttribute("missing_sources", Value::String(missing));
-  }
+  report.completeness.StampOn(result.document.get());
   return result;
 }
 

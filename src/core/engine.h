@@ -20,7 +20,6 @@
 #include "core/partial_results.h"
 #include "core/plan_cache.h"
 #include "core/sql_generator.h"
-#include "materialize/result_cache.h"
 #include "metadata/catalog.h"
 #include "sched/scheduler.h"
 #include "xml/node.h"
@@ -74,20 +73,13 @@ struct EngineOptions {
   /// (DESIGN.md §2g). Larger batches amortize per-operator dispatch;
   /// smaller ones bound peak memory per pipeline stage. Clamped to >= 1.
   size_t batch_size = algebra::Operator::kDefaultBatchSize;
-  /// Engine-side result cache byte budget (0 = disabled). Complete answers
-  /// from ExecuteText are cached as frozen snapshots keyed by canonicalized
-  /// query text; hits are O(1) (the snapshot is shared, not cloned) and
-  /// concurrent identical misses collapse into one execution
-  /// (singleflight). Entries are tagged with the sources they touched and
-  /// dropped when Catalog::NotifySourceUpdated fires for one of them.
-  size_t result_cache_bytes = 0;
-  /// TTL for engine-cached results; <= 0 means entries never expire.
-  int64_t result_cache_ttl_micros = 0;
   /// Compiled-plan cache entries (canonicalized XML-QL text → parsed AST +
   /// per-branch fragmentation); repeated queries and mediated-view
-  /// expansions skip parse/fragment. 0 disables. Entries are keyed with
-  /// the statistics epoch when the cost-based optimizer is on, so plans
-  /// optimized under superseded stats are evicted, not served.
+  /// expansions skip parse/fragment. Clamped to >= 1. Entries are keyed
+  /// with the statistics epoch when the cost-based optimizer is on, so
+  /// plans optimized under superseded stats are evicted, not served.
+  /// Answers are not cached here: the one answer cache is the front end's
+  /// (frontend::LensService, DESIGN.md §2c).
   size_t plan_cache_entries = 64;
 
   // --- Cost-based optimizer (src/opt, DESIGN.md §2h) ---------------------
@@ -173,9 +165,6 @@ struct ExecutionReport {
   /// against the query deadline; 0 when the scheduler is disabled).
   int64_t queue_wait_micros = 0;
   bool pushdown_hit_index = false;
-  /// True when the answer came from the engine's result cache (no source
-  /// was contacted by this invocation).
-  bool served_from_cache = false;
   std::vector<std::string> sources_contacted;
   CompletenessInfo completeness;
   /// Physical plan rendering; UNION programs concatenate every branch's
@@ -183,7 +172,7 @@ struct ExecutionReport {
   std::string plan;
   /// The same plan annotated with per-operator execution counters
   /// ("{batches=N, rows=M}"), rendered after the plan was drained. Empty
-  /// when no mediator plan ran (e.g. result-cache hits).
+  /// when no mediator plan ran (e.g. a lens-cache hit).
   std::string plan_with_stats;
 
   std::string Summary() const;
@@ -197,8 +186,9 @@ struct Bindings {
 };
 
 /// A query answer: the constructed XML document plus its report. When the
-/// answer was served from a result cache, `document` is a *frozen* shared
-/// snapshot — read it freely, but mutate only through MutableDocument().
+/// answer passed through a materialize::ResultCache (the lens cache),
+/// `document` is a *frozen* shared snapshot — read it freely, but mutate
+/// only through MutableDocument().
 /// A bindings request (IntegrationEngine::SubmitBindings) answers with
 /// `bindings` and no document; every other path leaves `bindings` empty.
 struct QueryResult {
@@ -255,9 +245,9 @@ using QueryHandlePtr = std::shared_ptr<QueryHandle>;
 /// fragments it by source, compiles relational fragments to SQL, runs the
 /// physical-algebra plan in the mediator, and constructs XML results.
 ///
-/// Execute/ExecuteText are safe to call from many threads at once (the
-/// load balancer and the stress tests do); set_options is not — reconfigure
-/// only while no queries are in flight.
+/// ExecuteText/Submit/SubmitBindings are safe to call from many threads at
+/// once (the load balancer and the stress tests do); set_options is not —
+/// reconfigure only while no queries are in flight.
 class IntegrationEngine {
  public:
   /// `catalog` must outlive the engine.
@@ -269,12 +259,9 @@ class IntegrationEngine {
   IntegrationEngine& operator=(const IntegrationEngine&) = delete;
 
   /// Parses and executes XML-QL text (a single query or a UNION program).
-  /// This is the cached hot path: the compiled-plan cache skips
-  /// parse/fragment for repeated text, and — when `result_cache_bytes` is
-  /// set — complete answers are served as shared snapshots with
-  /// singleflight miss deduplication. Queries carrying a cancellation flag
-  /// bypass the result cache (a waiter cannot cancel another query's
-  /// in-flight execution).
+  /// The compiled-plan cache skips parse/fragment for repeated text; every
+  /// call executes (answers are cached above the engine, by the lens
+  /// service), so a cancellation flag always reaches the execution.
   Result<QueryResult> ExecuteText(std::string_view xmlql_text,
                                   const QueryOptions& query_options = {});
 
@@ -292,9 +279,9 @@ class IntegrationEngine {
   /// `branch`, which must have a single pattern: fetch, pattern match and
   /// local conditions. The handle resolves to a QueryResult whose
   /// `bindings` hold the surviving tuples; no aggregation, ORDER BY, LIMIT
-  /// or CONSTRUCT runs, nothing is pushed into the source beyond its local
-  /// conditions, and the result cache is bypassed. Admission, deadlines,
-  /// cancellation and the availability policy apply as for Submit.
+  /// or CONSTRUCT runs, and nothing is pushed into the source beyond its
+  /// local conditions. Admission, deadlines, cancellation and the
+  /// availability policy apply as for Submit.
   QueryHandlePtr SubmitBindings(std::string xmlql_text, size_t branch,
                                 const QueryOptions& query_options = {});
 
@@ -304,12 +291,6 @@ class IntegrationEngine {
   /// caller planning its own execution sees the same errors.
   Result<std::shared_ptr<const CompiledProgram>> GetOrCompile(
       std::string_view text);
-
-  /// Executes a parsed program (uncached: the caller owns the AST).
-  /// Bypasses admission control — callers holding a raw AST manage their
-  /// own concurrency.
-  Result<QueryResult> Execute(const xmlql::Program& program,
-                              const QueryOptions& query_options = {});
 
   const EngineOptions& options() const { return options_; }
   void set_options(const EngineOptions& options);
@@ -322,16 +303,15 @@ class IntegrationEngine {
     return catalog_->AnalyzeAllSources(options_.analyze_sample_rows);
   }
 
-  /// The engine-side caches; nullptr when disabled by options.
-  materialize::ResultCache* result_cache() { return result_cache_.get(); }
+  /// The compiled-plan cache; never null.
   PlanCache* plan_cache() { return plan_cache_.get(); }
 
   /// The admission scheduler; nullptr when `max_inflight_queries` is 0.
   sched::QueryScheduler* scheduler() { return scheduler_.get(); }
 
-  /// Number of queries actually executed — result-cache hits and
-  /// singleflight waiters do not count (load-balancer bookkeeping and the
-  /// evidence for the singleflight tests).
+  /// Number of queries executed, bindings requests included (load-balancer
+  /// bookkeeping, and the evidence that a cache above the engine collapsed
+  /// identical requests into one execution).
   uint64_t queries_served() const {
     return queries_served_.load(std::memory_order_relaxed);
   }
@@ -370,9 +350,6 @@ class IntegrationEngine {
   /// The clock deadlines/backoff run on.
   Clock* clock();
 
-  /// (Re)builds the plan/result caches and the catalog invalidation hook
-  /// from `options_`. Called from the constructor and set_options.
-  void ConfigureCaches();
   /// (Re)builds the admission scheduler from `options_` (nullptr when
   /// `max_inflight_queries` is 0).
   void ConfigureScheduler();
@@ -388,7 +365,8 @@ class IntegrationEngine {
   QueryHandlePtr SubmitQuery(SubmittedQuery run,
                              const QueryOptions& query_options);
 
-  /// Synchronous execution core: the pre-scheduler ExecuteText body.
+  /// Synchronous execution core: the pre-scheduler ExecuteText body
+  /// (counts as a served query once the text compiles).
   /// `queue_wait_micros` (time already spent queued) is charged against the
   /// query deadline; `handle_cancel` is the async handle's cancel flag.
   Result<QueryResult> ExecuteTextNow(std::string_view xmlql_text,
@@ -409,14 +387,9 @@ class IntegrationEngine {
                               int64_t queue_wait_micros,
                               const std::atomic<bool>* handle_cancel);
 
-  /// Full execution of a fragmented program (counts as a served query).
-  /// `fragmentations` lines up with `program.branches` and points into it.
-  Result<QueryResult> ExecuteFragmented(
-      const xmlql::Program& program,
-      const std::vector<Fragmentation>& fragmentations,
-      const QueryOptions& query_options, int64_t queue_wait_micros = 0,
-      const std::atomic<bool>* handle_cancel = nullptr);
-
+  /// Executes a fragmented program (the query itself, or a mediated view
+  /// it references at `view_depth` > 0). `fragmentations` lines up with
+  /// `program.branches` and points into it.
   Result<QueryResult> ExecuteInternal(
       const xmlql::Program& program,
       const std::vector<Fragmentation>& fragmentations,
@@ -464,20 +437,15 @@ class IntegrationEngine {
       const xmlql::Query& query);
 
   metadata::Catalog* const catalog_;
-  /// Everything below down to the caches changes only inside set_options,
-  /// which the class contract forbids while queries are in flight.
+  /// Everything below down to the plan cache changes only inside
+  /// set_options, which the class contract forbids while queries are in
+  /// flight.
   // nimble-lint: unguarded(set_options contract: reconfigured only with no queries in flight)
   EngineOptions options_;
   // nimble-lint: unguarded(set_options contract: reconfigured only with no queries in flight)
   std::unique_ptr<ThreadPool> owned_pool_;  ///< when worker_threads > 0.
-  /// Caches are configured at construction / set_options time (never while
-  /// queries are in flight, per the set_options contract).
   // nimble-lint: unguarded(set_options contract: reconfigured only with no queries in flight)
   std::unique_ptr<PlanCache> plan_cache_;
-  // nimble-lint: unguarded(set_options contract: reconfigured only with no queries in flight)
-  std::unique_ptr<materialize::ResultCache> result_cache_;
-  // nimble-lint: unguarded(set_options contract: reconfigured only with no queries in flight)
-  uint64_t catalog_listener_token_ = 0;  ///< 0 = not subscribed.
   std::atomic<uint64_t> queries_served_{0};
   /// Unscheduled Submit tasks still running on the worker pool. The
   /// destructor drains this to zero, so an abandoned handle — e.g. a
@@ -487,7 +455,7 @@ class IntegrationEngine {
   CondVar inflight_cv_;
   size_t inflight_submits_ NIMBLE_GUARDED_BY(inflight_mutex_) = 0;
   /// Declared last: destroyed first, so shutdown drains queued/in-flight
-  /// queries while the pool, caches and catalog hook are still alive.
+  /// queries while the pool and the plan cache are still alive.
   // nimble-lint: unguarded(set_options contract: reconfigured only with no queries in flight)
   std::unique_ptr<sched::QueryScheduler> scheduler_;
 };

@@ -1,5 +1,7 @@
 #include "core/partial_results.h"
 
+#include "common/strings.h"
+
 namespace nimble {
 namespace core {
 
@@ -18,6 +20,30 @@ std::string CompletenessInfo::ToString() const {
     }
   }
   return out;
+}
+
+void CompletenessInfo::StampOn(Node* root) const {
+  root->SetAttribute("complete", Value::Bool(complete));
+  if (!complete) {
+    root->SetAttribute("missing_sources",
+                       Value::String(Join(unavailable_sources, ",")));
+  }
+}
+
+CompletenessInfo CompletenessInfo::ReadFrom(const Node& root) {
+  CompletenessInfo info;
+  const Value complete = root.GetAttribute("complete");
+  info.complete = !complete.is_bool() || complete.AsBool();
+  if (!info.complete) {
+    const std::string missing = root.GetAttribute("missing_sources").ToString();
+    if (!missing.empty()) info.unavailable_sources = Split(missing, ',');
+  }
+  return info;
+}
+
+bool DegradableCode(StatusCode code) {
+  return code == StatusCode::kTimeout || code == StatusCode::kUnavailable ||
+         code == StatusCode::kResourceExhausted;
 }
 
 }  // namespace core

@@ -4,6 +4,9 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
+#include "xml/node.h"
+
 namespace nimble {
 namespace core {
 
@@ -28,7 +31,23 @@ struct CompletenessInfo {
   std::vector<size_t> skipped_branches;
 
   std::string ToString() const;
+
+  /// Surfaces completeness on a result root so downstream consumers
+  /// (lenses, devices) can display it (§3.4: "indicating to the user that
+  /// the results were not complete"): `complete="true|false"`, plus
+  /// `missing_sources` (comma-separated) when incomplete.
+  void StampOn(Node* root) const;
+  /// The inverse of StampOn for a root that carries no report (a shared
+  /// cache snapshot): reads `complete` and `missing_sources`; a root
+  /// without the attributes reads as complete. Skipped branches are not
+  /// recorded on the root and come back empty.
+  static CompletenessInfo ReadFrom(const Node& root);
 };
+
+/// The failures a partial answer may stand in for under kPartial: a source,
+/// shard or engine that is down (Unavailable), too slow (Timeout) or
+/// overloaded (ResourceExhausted). Every other code is a hard error.
+bool DegradableCode(StatusCode code);
 
 }  // namespace core
 }  // namespace nimble

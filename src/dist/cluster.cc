@@ -90,7 +90,6 @@ Status ShardCluster::Init() {
     core::EngineOptions opts = options_.engine_options;
     opts.query_deadline_micros = options_.shard_deadline_micros;
     opts.max_inflight_queries = options_.shard_max_inflight;
-    opts.result_cache_bytes = 0;  // see ShardClusterOptions::engine_options
     if (options_.tweak_engine_options) {
       options_.tweak_engine_options(shard, &opts);
     }

@@ -19,12 +19,9 @@ namespace dist {
 /// Shard-placement configuration.
 struct ShardClusterOptions {
   size_t num_shards = 1;
-  /// Template for every shard engine. The cluster overrides a few fields:
-  /// `query_deadline_micros` becomes `shard_deadline_micros`,
-  /// `max_inflight_queries` becomes `shard_max_inflight`, and
-  /// `result_cache_bytes` is forced to 0 — shard catalogs never receive
-  /// update notifications (repartitioning replaces their data directly),
-  /// so a shard-side result cache could serve stale fragments.
+  /// Template for every shard engine. The cluster overrides two fields:
+  /// `query_deadline_micros` becomes `shard_deadline_micros` and
+  /// `max_inflight_queries` becomes `shard_max_inflight`.
   core::EngineOptions engine_options;
   /// Per-shard query deadline on the shard engine's clock (0 = none). The
   /// straggler trigger: a shard that cannot answer in time fails with

@@ -78,11 +78,6 @@ void AddUnique(std::vector<std::string>* list, const std::string& value) {
   }
 }
 
-bool DegradableCode(StatusCode code) {
-  return code == StatusCode::kTimeout || code == StatusCode::kUnavailable ||
-         code == StatusCode::kResourceExhausted;
-}
-
 int64_t ElapsedMicros(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now() - since)
@@ -363,7 +358,7 @@ Result<core::QueryResult> Coordinator::ExecuteScattered(
                           plan.source_label + " exceeded the straggler budget")
                     : run.outcome->status();
       if (policy == core::AvailabilityPolicy::kFailFast ||
-          !DegradableCode(status.code())) {
+          !core::DegradableCode(status.code())) {
         cancel_all();
         return status;
       }
@@ -477,17 +472,9 @@ Result<core::QueryResult> Coordinator::ExecuteScattered(
   report.plan = std::move(plan_text);
   report.plan_with_stats = std::move(plan_stats_text);
   report.result_count = out.document->children().size();
-  out.document->SetAttribute("complete",
-                             Value::Bool(report.completeness.complete));
+  report.completeness.StampOn(out.document.get());
   if (!report.completeness.complete) {
     partial_results_.fetch_add(1, std::memory_order_relaxed);
-    std::string missing;
-    for (size_t i = 0; i < report.completeness.unavailable_sources.size();
-         ++i) {
-      if (i > 0) missing += ",";
-      missing += report.completeness.unavailable_sources[i];
-    }
-    out.document->SetAttribute("missing_sources", Value::String(missing));
   }
   return out;
 }

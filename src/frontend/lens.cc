@@ -112,10 +112,14 @@ Result<LensResult> LensService::Invoke(
       // nimble-lint: frozen(zero-copy cache seam; callers mutate via QueryResult::MutableDocument which clones)
       result.raw.document = std::const_pointer_cast<Node>(*snapshot);
     } else {
+      // A hit or a singleflight waiter: no execution report, so the
+      // snapshot's own stamp says whether the answer is complete (a waiter
+      // may share a leader's partial answer, which is never stored).
       // nimble-lint: frozen(zero-copy cache seam; callers mutate via QueryResult::MutableDocument which clones)
       result.raw.document = std::const_pointer_cast<Node>(*snapshot);
       result.raw.report.result_count = result.raw.document->children().size();
-      result.raw.report.served_from_cache = true;
+      result.raw.report.completeness =
+          core::CompletenessInfo::ReadFrom(*result.raw.document);
       result.served_from_cache = true;
     }
     result.body = FormatResult(*result.raw.document, target->format);

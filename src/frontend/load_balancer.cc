@@ -41,9 +41,8 @@ Result<core::QueryResult> LoadBalancer::Execute(
 }
 
 std::vector<Result<core::QueryResult>> LoadBalancer::ExecuteBatch(
-    const std::vector<std::string>& queries, const core::QueryOptions& options,
-    ThreadPool* pool) {
-  (void)pool;  // kept for API compatibility; see the header.
+    const std::vector<std::string>& queries,
+    const core::QueryOptions& options) {
   std::vector<Result<core::QueryResult>> results(
       queries.size(), Result<core::QueryResult>(Status::Internal("not run")));
   if (engines_.empty()) {
@@ -75,20 +74,16 @@ std::vector<Result<core::QueryResult>> LoadBalancer::ExecuteBatch(
     // results. Degrade the slot to an empty partial answer — the same shape
     // the distributed coordinator's straggler path produces — and leave
     // hard errors (parse failures, internal faults) untouched.
-    const StatusCode code = results[i].status().code();
-    const bool degradable = code == StatusCode::kTimeout ||
-                            code == StatusCode::kUnavailable ||
-                            code == StatusCode::kResourceExhausted;
     const core::AvailabilityPolicy policy = options.availability.value_or(
         engines_[picks[i]]->options().availability);
-    if (degradable && policy == core::AvailabilityPolicy::kPartial) {
-      const std::string label = "engine#" + std::to_string(picks[i]);
+    if (core::DegradableCode(results[i].status().code()) &&
+        policy == core::AvailabilityPolicy::kPartial) {
       core::QueryResult partial;
       partial.document = Node::Element("results");
-      partial.document->SetAttribute("complete", Value::Bool(false));
-      partial.document->SetAttribute("missing_sources", Value::String(label));
       partial.report.completeness.complete = false;
-      partial.report.completeness.unavailable_sources.push_back(label);
+      partial.report.completeness.unavailable_sources.push_back(
+          "engine#" + std::to_string(picks[i]));
+      partial.report.completeness.StampOn(partial.document.get());
       results[i] = std::move(partial);
     }
   }

@@ -8,7 +8,6 @@
 #include "common/mutex.h"
 #include "common/result.h"
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "core/engine.h"
 
 namespace nimble {
@@ -51,12 +50,13 @@ class LoadBalancer {
   /// balancing policy and submitted to its engine's admission scheduler
   /// (when configured), so batch traffic respects the same in-flight limits
   /// and shedding as single submits instead of bypassing them. Results line
-  /// up with `queries` by index. `pool` is accepted for compatibility but
-  /// unused: concurrency comes from Engine::Submit, never from blocking
-  /// extra workers on a batch.
+  /// up with `queries` by index. Concurrency comes from Engine::Submit,
+  /// never from blocking extra workers on a batch. Under kPartial a slot
+  /// whose engine failed with a core::DegradableCode becomes an empty
+  /// answer marked incomplete, missing "engine#<index>".
   std::vector<Result<core::QueryResult>> ExecuteBatch(
       const std::vector<std::string>& queries,
-      const core::QueryOptions& options = {}, ThreadPool* pool = nullptr);
+      const core::QueryOptions& options = {});
 
   /// Instance `i` of the pool (for the SystemMonitor's per-engine
   /// scheduler gauges).

@@ -467,29 +467,6 @@ Result<Value> EvaluateRowExpression(const SqlExpr& expr,
   return Evaluate(expr, scope, row, nullptr);
 }
 
-bool LikeMatch(const std::string& text, const std::string& pattern) {
-  // Iterative wildcard match with backtracking on '%'.
-  size_t t = 0, p = 0;
-  size_t star_p = std::string::npos, star_t = 0;
-  while (t < text.size()) {
-    if (p < pattern.size() &&
-        (pattern[p] == '_' || pattern[p] == text[t])) {
-      ++t;
-      ++p;
-    } else if (p < pattern.size() && pattern[p] == '%') {
-      star_p = p++;
-      star_t = t;
-    } else if (star_p != std::string::npos) {
-      p = star_p + 1;
-      t = ++star_t;
-    } else {
-      return false;
-    }
-  }
-  while (p < pattern.size() && pattern[p] == '%') ++p;
-  return p == pattern.size();
-}
-
 Result<ResultSet> ExecuteSelect(const Database& db, const SelectStmt& stmt) {
   // ---- Resolve tables -------------------------------------------------------
   const Table* base = db.GetTable(stmt.from.table);

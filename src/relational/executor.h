@@ -35,9 +35,6 @@ struct ResultSet {
 /// a faithful "real RDBMS" endpoint for the mediator's generated SQL.
 Result<ResultSet> ExecuteSelect(const Database& db, const SelectStmt& stmt);
 
-/// SQL LIKE pattern matching ('%' = any run, '_' = any one char).
-bool LikeMatch(const std::string& text, const std::string& pattern);
-
 /// Evaluates a non-aggregate expression against one row of `schema`
 /// (column refs resolve unqualified or qualified by the table name).
 /// Used by DELETE/UPDATE and by the mediator's residual predicates.

@@ -137,6 +137,20 @@ TEST(StringsTest, ReplaceAll) {
   EXPECT_EQ(ReplaceAll("abc", "", "x"), "abc");
 }
 
+TEST(StringsTest, LikeMatch) {
+  EXPECT_TRUE(LikeMatch("hello", "hello"));
+  EXPECT_TRUE(LikeMatch("hello", "h%"));
+  EXPECT_TRUE(LikeMatch("hello", "%o"));
+  EXPECT_TRUE(LikeMatch("hello", "%ell%"));
+  EXPECT_TRUE(LikeMatch("hello", "h_llo"));
+  EXPECT_TRUE(LikeMatch("", "%"));
+  EXPECT_TRUE(LikeMatch("abc", "%%%"));
+  EXPECT_FALSE(LikeMatch("hello", "h_llo!"));
+  EXPECT_FALSE(LikeMatch("hello", "H%"));
+  EXPECT_FALSE(LikeMatch("", "_"));
+  EXPECT_TRUE(LikeMatch("a%b", "a%b"));
+}
+
 TEST(RngTest, Deterministic) {
   Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.Next(), b.Next());

@@ -510,27 +510,6 @@ TEST(ResultCacheConcurrencyTest, LookupOrComputeRunsComputeOnce) {
   EXPECT_EQ(stats.hits + stats.coalesced, static_cast<uint64_t>(kThreads - 1));
 }
 
-// Engine-level singleflight: concurrent identical ExecuteText calls on a
-// cache-enabled engine execute once (queries_served counts real runs).
-TEST_F(ConcurrencyTest, ConcurrentIdenticalQueriesExecuteOnce) {
-  core::EngineOptions opts = BaseOptions();
-  opts.result_cache_bytes = 1 << 20;
-  core::IntegrationEngine engine(catalog_.get(), opts);
-  constexpr int kThreads = 8;
-  std::atomic<int> failures{0};
-  std::vector<std::thread> clients;
-  clients.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    clients.emplace_back([&] {
-      Result<core::QueryResult> r = engine.ExecuteText(kJoinQuery);
-      if (!r.ok() || r->report.result_count != 3u) failures.fetch_add(1);
-    });
-  }
-  for (std::thread& c : clients) c.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(engine.queries_served(), 1u);
-}
-
 // Frontend singleflight: concurrent identical lens invocations collapse to
 // one engine execution across the whole balancer pool.
 TEST_F(ConcurrencyTest, ConcurrentLensInvokesShareOneExecution) {
@@ -565,6 +544,77 @@ TEST_F(ConcurrencyTest, ConcurrentLensInvokesShareOneExecution) {
   materialize::CacheStats stats = cache.stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits + stats.coalesced, static_cast<uint64_t>(kThreads - 1));
+}
+
+// A source that goes down mid-query, after a second lens invocation has
+// coalesced onto the first one's in-flight execution.
+class DownOnceCoalesced : public connector::Connector {
+ public:
+  explicit DownOnceCoalesced(const materialize::ResultCache* cache)
+      : cache_(cache) {}
+
+  const std::string& name() const override { return name_; }
+  connector::SourceCapabilities capabilities() const override { return {}; }
+  std::vector<std::string> Collections() override { return {"feed"}; }
+  using connector::Connector::FetchCollection;
+  Result<NodePtr> FetchCollection(const std::string&,
+                                  const connector::RequestContext&) override {
+    // Bounded, so a broken singleflight fails the test instead of hanging.
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (cache_->stats().coalesced < 1 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return Status::Unavailable("feed went down mid-query");
+  }
+  uint64_t DataVersion() override { return 0; }
+
+ private:
+  const std::string name_ = "down";
+  const materialize::ResultCache* cache_;
+};
+
+// A singleflight waiter shares the leader's partial answer (never stored in
+// the cache) and must report it incomplete, as the leader does.
+TEST_F(ConcurrencyTest, CoalescedLensWaiterReportsPartialAnswer) {
+  materialize::ResultCache cache(1 << 20, 0, &clock_);
+  metadata::Catalog catalog;
+  Must(catalog.RegisterSource(std::make_unique<DownOnceCoalesced>(&cache)));
+  core::EngineOptions opts = BaseOptions();
+  opts.availability = core::AvailabilityPolicy::kPartial;
+  frontend::LoadBalancer balancer(frontend::BalancePolicy::kRoundRobin);
+  for (int i = 0; i < 2; ++i) {
+    balancer.AddEngine(
+        std::make_unique<core::IntegrationEngine>(&catalog, opts));
+  }
+  frontend::LensService lenses(&balancer, &cache, nullptr);
+  frontend::Lens lens;
+  lens.name = "feed";
+  lens.query_template =
+      "WHERE <feed><e>$v</e></feed> IN \"down:feed\" CONSTRUCT <v>$v</v>";
+  Must(lenses.RegisterLens(lens));
+
+  std::vector<Result<frontend::LensResult>> results(
+      2, Result<frontend::LensResult>(Status::Internal("not run")));
+  std::vector<std::thread> clients;
+  for (size_t t = 0; t < results.size(); ++t) {
+    clients.emplace_back([&, t] { results[t] = lenses.Invoke("feed"); });
+  }
+  for (std::thread& c : clients) c.join();
+
+  EXPECT_EQ(cache.stats().coalesced, 1u);
+  EXPECT_EQ(cache.size(), 0u);  // partial answers are never stored
+  size_t waiters = 0;
+  for (const Result<frontend::LensResult>& r : results) {
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_FALSE(r->raw.report.completeness.complete);
+    EXPECT_EQ(r->raw.report.completeness.unavailable_sources,
+              (std::vector<std::string>{"down"}));
+    EXPECT_EQ(r->raw.document->GetAttribute("complete"), Value::Bool(false));
+    if (r->served_from_cache) ++waiters;
+  }
+  EXPECT_EQ(waiters, 1u);
 }
 
 }  // namespace

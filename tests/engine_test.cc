@@ -468,48 +468,6 @@ TEST_F(EngineTest, PlanCacheCanonicalizesWhitespace) {
             CanonicalizeQueryText("WHERE $s = 'a b'"));
 }
 
-TEST_F(EngineTest, ResultCacheServesFrozenSnapshotOnRepeat) {
-  EngineOptions opts;
-  opts.result_cache_bytes = 1 << 20;
-  engine_->set_options(opts);
-  QueryResult first = Run(kGoldQuery);
-  EXPECT_FALSE(first.report.served_from_cache);
-  uint64_t served = engine_->queries_served();
-  QueryResult second = Run(kGoldQuery);
-  EXPECT_TRUE(second.report.served_from_cache);
-  EXPECT_TRUE(second.report.completeness.complete);
-  EXPECT_EQ(second.report.result_count, 2u);
-  // A hit is the shared snapshot, not a clone, and costs no execution.
-  EXPECT_EQ(second.document.get(), first.document.get());
-  EXPECT_TRUE(second.document->frozen());
-  EXPECT_EQ(engine_->queries_served(), served);
-  // Copy-on-write: MutableDocument() thaws a private copy on demand.
-  NodePtr mutable_doc = second.MutableDocument();
-  EXPECT_NE(mutable_doc.get(), first.document.get());
-  EXPECT_FALSE(mutable_doc->frozen());
-}
-
-TEST_F(EngineTest, CancellableQueriesBypassResultCache) {
-  EngineOptions opts;
-  opts.result_cache_bytes = 1 << 20;
-  engine_->set_options(opts);
-  std::atomic<bool> cancel{false};
-  QueryOptions query_opts;
-  query_opts.cancel = &cancel;
-  Run(kGoldQuery, query_opts);
-  EXPECT_EQ(engine_->result_cache()->size(), 0u);
-  QueryResult repeat = Run(kGoldQuery, query_opts);
-  EXPECT_FALSE(repeat.report.served_from_cache);
-}
-
-TEST_F(EngineTest, ZeroBudgetDisablesResultCache) {
-  EXPECT_EQ(engine_->result_cache(), nullptr);  // default: off
-  QueryResult first = Run(kGoldQuery);
-  QueryResult second = Run(kGoldQuery);
-  EXPECT_FALSE(second.report.served_from_cache);
-  EXPECT_NE(second.document.get(), first.document.get());
-}
-
 // ---- Availability / partial results (§3.4) ---------------------------------
 
 class AvailabilityTest : public EngineTest {

@@ -171,20 +171,61 @@ TEST_F(FrontendTest, LensDefaultAndOverrideParameters) {
   EXPECT_EQ(bronze->body, "name\nBob\n");
 }
 
+uint64_t TotalQueriesServed(const LoadBalancer& balancer) {
+  uint64_t total = 0;
+  for (uint64_t served : balancer.QueriesPerEngine()) total += served;
+  return total;
+}
+
 TEST_F(FrontendTest, LensCachesResults) {
   ASSERT_TRUE(service_->RegisterLens(SegmentLens()).ok());
   Result<LensResult> first = service_->Invoke("segment_report");
   ASSERT_TRUE(first.ok());
   EXPECT_FALSE(first->served_from_cache);
+  const uint64_t served = TotalQueriesServed(*balancer_);
   Result<LensResult> second = service_->Invoke("segment_report");
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second->served_from_cache);
   EXPECT_EQ(second->body, first->body);
+  EXPECT_TRUE(second->raw.report.completeness.complete);
+  EXPECT_EQ(second->raw.report.result_count, 2u);
+  // A hit is the shared frozen snapshot, not a clone, and costs no
+  // execution on any engine.
+  EXPECT_EQ(second->raw.document.get(), first->raw.document.get());
+  EXPECT_TRUE(second->raw.document->frozen());
+  EXPECT_EQ(TotalQueriesServed(*balancer_), served);
+  // Copy-on-write: MutableDocument() thaws a private copy on demand.
+  NodePtr mutable_doc = second->raw.MutableDocument();
+  EXPECT_NE(mutable_doc.get(), first->raw.document.get());
+  EXPECT_FALSE(mutable_doc->frozen());
   // Different parameters -> different cache key.
   Result<LensResult> other =
       service_->Invoke("segment_report", {{"segment", "bronze"}});
   ASSERT_TRUE(other.ok());
   EXPECT_FALSE(other->served_from_cache);
+}
+
+// Source updates reach the lens cache through a catalog listener that
+// drops every answer tagged with the updated source.
+TEST_F(FrontendTest, SourceUpdateInvalidatesLensCache) {
+  const uint64_t token = catalog_->AddUpdateListener(
+      [this](const std::string& source) { cache_->InvalidateTag(source); });
+  ASSERT_TRUE(service_->RegisterLens(SegmentLens()).ok());
+  ASSERT_TRUE(service_->Invoke("segment_report").ok());
+  EXPECT_EQ(cache_->size(), 1u);
+  // An unrelated source leaves the answer; the contacted source drops it.
+  catalog_->NotifySourceUpdated("other");
+  EXPECT_EQ(cache_->size(), 1u);
+  Result<LensResult> cached = service_->Invoke("segment_report");
+  ASSERT_TRUE(cached.ok());
+  EXPECT_TRUE(cached->served_from_cache);
+  catalog_->NotifySourceUpdated("crm");
+  EXPECT_EQ(cache_->size(), 0u);
+  EXPECT_EQ(cache_->stats().invalidations, 1u);
+  Result<LensResult> fresh = service_->Invoke("segment_report");
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_FALSE(fresh->served_from_cache);
+  catalog_->RemoveUpdateListener(token);
 }
 
 TEST_F(FrontendTest, LensAuthEnforced) {

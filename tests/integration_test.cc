@@ -27,6 +27,9 @@ class IntegrationTest : public ::testing::Test {
                       "('t-1', 'Trinket', 12.0, 'gifts'), "
                       "('s-1', 'Sprocket', 99.0, 'tools')"));
     Must(db_->Execute("CREATE INDEX idx_cat ON products (category)"));
+    // Only OptionEquivalence reads this table: a NULL-bearing column.
+    Must(db_->Execute("CREATE TABLE notes (id INT, memo TEXT)"));
+    Must(db_->Execute("INSERT INTO notes VALUES (1, 'a'), (2, NULL)"));
 
     auto stock = std::make_unique<connector::CsvConnector>("wh");
     Must(stock->PutCsv("stock",
@@ -137,7 +140,11 @@ INSTANTIATE_TEST_SUITE_P(
            IN "shop:products" CONSTRUCT <k>$s</k>
            UNION
            WHERE <stock><row><sku>$s</sku></row></stock> IN "wh:stock"
-           CONSTRUCT <k>$s</k>)"));
+           CONSTRUCT <k>$s</k>)",
+        // LIKE over a null operand is false on both sides of pushdown
+        R"(WHERE <notes><row><id>$i</id><memo>$m</memo></row></notes>
+           IN "shop:notes", $m LIKE '%'
+           CONSTRUCT <r>$i</r>)"));
 
 TEST_F(IntegrationTest, LensOverMaterializedViewStaysFresh) {
   Must(catalog_->DefineView("tool_stock", R"(

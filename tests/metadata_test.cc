@@ -147,23 +147,6 @@ TEST(CatalogTest, UpdateListenersFireUntilRemoved) {
   EXPECT_EQ(seen_b.size(), 2u);
 }
 
-TEST(CatalogTest, SourceUpdateInvalidatesEngineResultCache) {
-  Catalog catalog;
-  ASSERT_TRUE(catalog.RegisterSource(MakeSource("a")).ok());
-  core::EngineOptions options;
-  options.result_cache_bytes = 1 << 20;
-  core::IntegrationEngine engine(&catalog, options);
-  const std::string query = kViewOverA;
-  ASSERT_TRUE(engine.ExecuteText(query).ok());
-  EXPECT_EQ(engine.result_cache()->size(), 1u);
-  // An unrelated source leaves the entry; the contacted source drops it.
-  catalog.NotifySourceUpdated("other");
-  EXPECT_EQ(engine.result_cache()->size(), 1u);
-  catalog.NotifySourceUpdated("a");
-  EXPECT_EQ(engine.result_cache()->size(), 0u);
-  EXPECT_EQ(engine.result_cache()->stats().invalidations, 1u);
-}
-
 TEST(CompletenessInfoTest, ToStringRendering) {
   core::CompletenessInfo info;
   EXPECT_EQ(info.ToString(), "complete");
@@ -174,6 +157,35 @@ TEST(CompletenessInfoTest, ToStringRendering) {
   EXPECT_NE(text.find("INCOMPLETE"), std::string::npos);
   EXPECT_NE(text.find("a, b"), std::string::npos);
   EXPECT_NE(text.find("1, 3"), std::string::npos);
+}
+
+TEST(CompletenessInfoTest, StampOnRoundTripsThroughReadFrom) {
+  NodePtr root = Node::Element("results");
+  EXPECT_TRUE(core::CompletenessInfo::ReadFrom(*root).complete);  // unstamped
+  core::CompletenessInfo complete;
+  complete.StampOn(root.get());
+  EXPECT_EQ(root->GetAttribute("complete"), Value::Bool(true));
+  EXPECT_TRUE(root->GetAttribute("missing_sources").is_null());
+
+  core::CompletenessInfo partial;
+  partial.complete = false;
+  partial.unavailable_sources = {"crm", "source#shard1"};
+  NodePtr stamped = Node::Element("results");
+  partial.StampOn(stamped.get());
+  EXPECT_EQ(stamped->GetAttribute("missing_sources"),
+            Value::String("crm,source#shard1"));
+  core::CompletenessInfo read = core::CompletenessInfo::ReadFrom(*stamped);
+  EXPECT_FALSE(read.complete);
+  EXPECT_EQ(read.unavailable_sources, partial.unavailable_sources);
+}
+
+TEST(CompletenessInfoTest, DegradableCodes) {
+  EXPECT_TRUE(core::DegradableCode(StatusCode::kTimeout));
+  EXPECT_TRUE(core::DegradableCode(StatusCode::kUnavailable));
+  EXPECT_TRUE(core::DegradableCode(StatusCode::kResourceExhausted));
+  EXPECT_FALSE(core::DegradableCode(StatusCode::kParseError));
+  EXPECT_FALSE(core::DegradableCode(StatusCode::kInternal));
+  EXPECT_FALSE(core::DegradableCode(StatusCode::kCancelled));
 }
 
 }  // namespace

@@ -517,20 +517,6 @@ TEST_F(RelationalTest, InListCombinesWithOtherPredicates) {
   EXPECT_EQ(rs.rows.size(), 2u);  // Ada, Cleo
 }
 
-TEST(LikeMatchTest, Patterns) {
-  EXPECT_TRUE(LikeMatch("hello", "hello"));
-  EXPECT_TRUE(LikeMatch("hello", "h%"));
-  EXPECT_TRUE(LikeMatch("hello", "%o"));
-  EXPECT_TRUE(LikeMatch("hello", "%ell%"));
-  EXPECT_TRUE(LikeMatch("hello", "h_llo"));
-  EXPECT_TRUE(LikeMatch("", "%"));
-  EXPECT_TRUE(LikeMatch("abc", "%%%"));
-  EXPECT_FALSE(LikeMatch("hello", "h_llo!"));
-  EXPECT_FALSE(LikeMatch("hello", "H%"));
-  EXPECT_FALSE(LikeMatch("", "_"));
-  EXPECT_TRUE(LikeMatch("a%b", "a%b"));
-}
-
 }  // namespace
 }  // namespace relational
 }  // namespace nimble
