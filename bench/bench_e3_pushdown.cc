@@ -51,8 +51,6 @@ int main() {
   relational::Database* db = source.db.get();
   (void)catalog.RegisterSource(std::move(source.connector));
 
-  core::IntegrationEngine engine(&catalog);
-
   auto run = [&](double selectivity, bool pushdown) -> Sample {
     // value < K where K = selectivity * 1000 (value uniform in [0,1000)).
     int threshold = static_cast<int>(selectivity * 1000);
@@ -63,7 +61,7 @@ int main() {
         " CONSTRUCT <hit id=$i><name>$n</name></hit>";
     core::EngineOptions options;
     options.enable_pushdown = pushdown;
-    engine.set_options(options);
+    core::IntegrationEngine engine(&catalog, options);
 
     // Count rows scanned inside the source via its table version of
     // stats: run the equivalent SQL directly for the scan metric.
@@ -146,7 +144,7 @@ int main() {
     core::EngineOptions options;
     options.enable_pushdown = mode.pushdown;
     options.enable_bind_join = mode.bind_join;
-    engine.set_options(options);
+    core::IntegrationEngine engine(&catalog, options);
     int64_t before = clock.NowMicros();
     Result<core::QueryResult> result = engine.ExecuteText(join_query);
     if (!result.ok()) {

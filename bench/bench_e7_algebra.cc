@@ -10,10 +10,11 @@
 //      small parse-time cost;
 //  (d) vectorization: rows/sec for scan+filter, hash join and aggregation
 //      across batch sizes {1, 64, 1024, 4096}, against the tuple-at-a-time
-//      baseline (batch size 1 drained through the row adapter — the old
-//      Volcano discipline). PASS gates: >= 2x on scan+filter and hash join
-//      at batch size 1024, and the vectorized default must never fall
-//      below the tuple baseline. Used as a CI smoke gate (exit 1 on FAIL).
+//      baseline (batch size 1, every row copied out into its own
+//      std::vector<Binding> — the old Volcano discipline). PASS gates:
+//      >= 2x on scan+filter and hash join at batch size 1024, and the
+//      vectorized default must never fall below the tuple baseline. Used
+//      as a CI smoke gate (exit 1 on FAIL).
 //
 // The (d) sweep runs first; the google-benchmark suites follow.
 
@@ -44,7 +45,7 @@ namespace {
 
 using algebra::Binding;
 using algebra::MaterializedScan;
-using algebra::Tuple;
+using algebra::TupleBatch;
 using algebra::TupleSchema;
 
 std::unique_ptr<MaterializedScan> MakeIntScan(const std::string& var,
@@ -52,18 +53,16 @@ std::unique_ptr<MaterializedScan> MakeIntScan(const std::string& var,
                                               size_t n, uint64_t seed,
                                               uint64_t key_range) {
   Rng rng(seed);
-  TupleSchema schema({var, payload_var});
-  std::vector<Tuple> tuples;
-  tuples.reserve(n);
+  TupleBatch data(2);
+  data.Reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    Tuple t;
-    t.emplace_back(Binding{Value::Int(
-        static_cast<int64_t>(rng.Uniform(key_range)))});
-    t.emplace_back(Binding{Value::Int(static_cast<int64_t>(i))});
-    tuples.push_back(std::move(t));
+    data.MutableColumn(0).emplace_back(
+        Value::Int(static_cast<int64_t>(rng.Uniform(key_range))));
+    data.MutableColumn(1).emplace_back(Value::Int(static_cast<int64_t>(i)));
   }
-  return std::make_unique<MaterializedScan>(std::move(schema),
-                                            std::move(tuples));
+  data.SetNumRows(n);
+  return std::make_unique<MaterializedScan>(TupleSchema({var, payload_var}),
+                                            std::move(data));
 }
 
 void BM_HashJoin(benchmark::State& state) {
@@ -273,27 +272,29 @@ double NowMs() {
       .count();
 }
 
-/// Drains one fresh plan; row_adapter selects Next() (the tuple-at-a-time
-/// consumer) over NextBatch(). Returns elapsed milliseconds, best of 3.
-double TimeDrain(const SweepCase& sweep, size_t batch_size,
-                 bool row_adapter) {
+/// Drains one fresh plan via NextBatch(); `copy_rows` makes it the
+/// tuple-at-a-time consumer, copying every row into its own
+/// std::vector<Binding>. Returns elapsed milliseconds, best of 3.
+double TimeDrain(const SweepCase& sweep, size_t batch_size, bool copy_rows) {
   double best = 1e300;
   for (int rep = 0; rep < 3; ++rep) {
     std::unique_ptr<algebra::Operator> plan = sweep.make();
     plan->SetBatchSize(batch_size);
     double start = NowMs();
     if (plan->Open().ok()) {
-      if (row_adapter) {
-        while (true) {
-          auto tuple = plan->Next();
-          if (!tuple.ok() || !tuple->has_value()) break;
-          benchmark::DoNotOptimize(*tuple);
-        }
-      } else {
-        while (true) {
-          auto batch = plan->NextBatch();
-          if (!batch.ok() || !batch->has_value()) break;
-          benchmark::DoNotOptimize(*batch);
+      while (true) {
+        auto batch = plan->NextBatch();
+        if (!batch.ok() || !batch->has_value()) break;
+        benchmark::DoNotOptimize(*batch);
+        if (!copy_rows) continue;
+        const TupleBatch& rows = **batch;
+        for (size_t i = 0; i < rows.size(); ++i) {
+          std::vector<Binding> row;
+          row.reserve(rows.num_slots());
+          for (size_t slot = 0; slot < rows.num_slots(); ++slot) {
+            row.push_back(rows.binding(slot, i));
+          }
+          benchmark::DoNotOptimize(row);
         }
       }
     }
@@ -311,20 +312,20 @@ double RowsPerSec(size_t rows, double ms) {
 /// Returns false on any gate failure.
 bool RunBatchSweep() {
   std::printf("E7(d): vectorized batch execution — rows/sec by batch size\n"
-              "(baseline = batch size 1 drained row-at-a-time through the "
-              "Next() adapter)\n\n");
+              "(baseline = batch size 1, every row copied into its own "
+              "std::vector<Binding>)\n\n");
   bench::PrintRow({"workload", "batch", "rows/sec", "vs baseline"});
   bench::PrintRule(4);
   bool pass = true;
   for (const SweepCase& sweep : kSweepCases) {
-    const double baseline_ms = TimeDrain(sweep, 1, /*row_adapter=*/true);
+    const double baseline_ms = TimeDrain(sweep, 1, /*copy_rows=*/true);
     const double baseline_rps = RowsPerSec(sweep.input_rows, baseline_ms);
     bench::PrintRow({sweep.name, "1 (rows)",
                      bench::FmtInt(static_cast<int64_t>(baseline_rps)),
                      "1.0x"});
     double speedup_at_default = 0.0;
     for (size_t batch_size : kSweepSizes) {
-      const double ms = TimeDrain(sweep, batch_size, /*row_adapter=*/false);
+      const double ms = TimeDrain(sweep, batch_size, /*copy_rows=*/false);
       const double rps = RowsPerSec(sweep.input_rows, ms);
       const double speedup = rps / std::max(baseline_rps, 1e-9);
       if (batch_size == 1024) speedup_at_default = speedup;

@@ -112,9 +112,6 @@ NodePtr SystemMonitor::StatusDocument() const {
       sched->AddScalarChild(
           "inflight", Value::Int(static_cast<int64_t>(stats.inflight_queries)));
       sched->AddScalarChild(
-          "inflight_bytes",
-          Value::Int(static_cast<int64_t>(stats.inflight_bytes)));
-      sched->AddScalarChild(
           "admitted", Value::Int(static_cast<int64_t>(stats.admitted)));
       sched->AddScalarChild(
           "completed", Value::Int(static_cast<int64_t>(stats.completed)));

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <unordered_map>
 
 #include "common/strings.h"
 
@@ -41,7 +41,7 @@ Result<BoundCondition> BoundCondition::Bind(const xmlql::Condition& condition,
 namespace {
 
 /// Shared comparison core: `binding_at(slot)` yields the Binding for a
-/// variable operand. All three entry points (row, batch row, join pair)
+/// variable operand. Both callers (a batch row, a nested-loop join pair)
 /// funnel through here so null semantics and LIKE stay identical.
 template <typename BindingAt>
 bool EvalBound(const BoundCondition& c, BindingAt&& binding_at) {
@@ -79,16 +79,28 @@ bool EvalBound(const BoundCondition& c, BindingAt&& binding_at) {
 
 }  // namespace
 
-bool BoundCondition::Evaluate(const Tuple& tuple) const {
-  return EvalBound(*this,
-                   [&tuple](size_t slot) -> const Binding& { return tuple[slot]; });
-}
-
-bool BoundCondition::EvaluateAt(const TupleBatch& batch, size_t i) const {
-  const size_t phys = batch.PhysicalRow(i);
-  return EvalBound(*this, [&batch, phys](size_t slot) -> const Binding& {
-    return batch.column(slot)[phys];
-  });
+void ApplyConditions(const std::vector<BoundCondition>& conditions,
+                     TupleBatch* batch) {
+  if (conditions.empty()) return;
+  // Condition-major evaluation: each predicate compacts the surviving
+  // physical row set in place.
+  std::vector<uint32_t> selection;
+  selection.reserve(batch->size());
+  for (size_t i = 0; i < batch->size(); ++i) {
+    selection.push_back(static_cast<uint32_t>(batch->PhysicalRow(i)));
+  }
+  for (const BoundCondition& cond : conditions) {
+    size_t kept = 0;
+    for (uint32_t phys : selection) {
+      bool pass = EvalBound(cond, [batch, phys](size_t slot) -> const Binding& {
+        return batch->column(slot)[phys];
+      });
+      if (pass) selection[kept++] = phys;
+    }
+    selection.resize(kept);
+    if (selection.empty()) break;
+  }
+  batch->SetSelection(std::move(selection));
 }
 
 // ---- Operator ----------------------------------------------------------------
@@ -96,8 +108,6 @@ bool BoundCondition::EvaluateAt(const TupleBatch& batch, size_t i) const {
 Status Operator::Open() {
   batches_produced_ = 0;
   rows_produced_ = 0;
-  adapter_batch_.reset();
-  adapter_pos_ = 0;
   return DoOpen();
 }
 
@@ -125,21 +135,7 @@ Result<std::optional<TupleBatch>> Operator::NextBatch() {
   }
 }
 
-Result<std::optional<Tuple>> Operator::Next() {
-  while (true) {
-    if (adapter_batch_.has_value() && adapter_pos_ < adapter_batch_->size()) {
-      return std::optional<Tuple>(
-          adapter_batch_->MaterializeTuple(adapter_pos_++));
-    }
-    NIMBLE_ASSIGN_OR_RETURN(adapter_batch_, NextBatch());
-    adapter_pos_ = 0;
-    if (!adapter_batch_.has_value()) return std::optional<Tuple>{};
-  }
-}
-
 void Operator::Close() {
-  adapter_batch_.reset();
-  adapter_pos_ = 0;
   // Counters survive Close so EXPLAIN can report them post-execution.
   DoClose();
 }
@@ -173,17 +169,14 @@ std::string Operator::DescribeWithStats(int indent) const {
   return DescribeImpl(indent, /*with_stats=*/true);
 }
 
-Result<std::vector<Tuple>> Operator::Drain() {
+Result<TupleBatch> Operator::Drain() {
   NIMBLE_RETURN_IF_ERROR(Open());
-  std::vector<Tuple> out;
+  TupleBatch out(schema().size());
   while (true) {
     NIMBLE_RETURN_IF_ERROR(PollCancel());
     NIMBLE_ASSIGN_OR_RETURN(std::optional<TupleBatch> batch, NextBatch());
     if (!batch.has_value()) break;
-    out.reserve(out.size() + batch->size());
-    for (size_t i = 0; i < batch->size(); ++i) {
-      out.push_back(batch->MaterializeTuple(i));
-    }
+    out.Append(*batch);
   }
   Close();
   return out;
@@ -202,13 +195,6 @@ void Operator::SetCancelProbe(CancelProbe probe) {
 }
 
 // ---- MaterializedScan ---------------------------------------------------------
-
-MaterializedScan::MaterializedScan(TupleSchema schema,
-                                   std::vector<Tuple> tuples,
-                                   std::string source_label)
-    : schema_(std::move(schema)),
-      data_(TupleBatch::FromTuples(schema_.size(), tuples)),
-      source_label_(std::move(source_label)) {}
 
 MaterializedScan::MaterializedScan(TupleSchema schema, TupleBatch data,
                                    std::string source_label)
@@ -248,27 +234,8 @@ Result<std::optional<TupleBatch>> Filter::DoNextBatch() {
     NIMBLE_ASSIGN_OR_RETURN(std::optional<TupleBatch> batch,
                             child_->NextBatch());
     if (!batch.has_value()) return batch;
-    // Condition-major evaluation: each predicate compacts the surviving
-    // physical row set in place. Survivors are never copied — the child's
-    // columns are reused with a shrunk selection.
-    std::vector<uint32_t> selection;
-    selection.reserve(batch->size());
-    for (size_t i = 0; i < batch->size(); ++i) {
-      selection.push_back(static_cast<uint32_t>(batch->PhysicalRow(i)));
-    }
-    for (const BoundCondition& cond : conditions_) {
-      size_t kept = 0;
-      for (uint32_t phys : selection) {
-        bool pass = EvalBound(cond, [&batch, phys](size_t slot) -> const Binding& {
-          return batch->column(slot)[phys];
-        });
-        if (pass) selection[kept++] = phys;
-      }
-      selection.resize(kept);
-      if (selection.empty()) break;
-    }
-    if (selection.empty()) continue;  // try the next child batch
-    batch->SetSelection(std::move(selection));
+    ApplyConditions(conditions_, &*batch);
+    if (batch->empty()) continue;  // try the next child batch
     return batch;
   }
 }
@@ -312,19 +279,7 @@ HashJoin::HashJoin(std::unique_ptr<Operator> left,
 Status HashJoin::DoOpen() {
   NIMBLE_RETURN_IF_ERROR(probe_input()->Open());
   // Compact the chosen build side into one column store.
-  build_ = TupleBatch(build_input()->schema().size());
-  NIMBLE_RETURN_IF_ERROR(build_input()->Open());
-  while (true) {
-    NIMBLE_RETURN_IF_ERROR(PollCancel());
-    NIMBLE_ASSIGN_OR_RETURN(std::optional<TupleBatch> batch,
-                            build_input()->NextBatch());
-    if (!batch.has_value()) break;
-    // No per-batch Reserve: an exact reserve every batch degrades to a
-    // reallocation per row at small batch sizes; push_back growth is
-    // amortized O(1) regardless of how the input is chopped up.
-    for (size_t i = 0; i < batch->size(); ++i) build_.AppendRowFrom(*batch, i);
-  }
-  build_input()->Close();
+  NIMBLE_ASSIGN_OR_RETURN(build_, build_input()->Drain());
   // Chained hash table (head/next index arrays) over the build columns,
   // sized to a load factor of at most 0.5.
   const size_t n = build_.num_rows();
@@ -444,20 +399,7 @@ NestedLoopJoin::NestedLoopJoin(std::unique_ptr<Operator> left,
 
 Status NestedLoopJoin::DoOpen() {
   NIMBLE_RETURN_IF_ERROR(left_->Open());
-  right_data_ = TupleBatch(right_->schema().size());
-  NIMBLE_RETURN_IF_ERROR(right_->Open());
-  while (true) {
-    NIMBLE_RETURN_IF_ERROR(PollCancel());
-    NIMBLE_ASSIGN_OR_RETURN(std::optional<TupleBatch> batch,
-                            right_->NextBatch());
-    if (!batch.has_value()) break;
-    // push_back growth only — see the HashJoin build note on why an exact
-    // per-batch Reserve is quadratic at small batch sizes.
-    for (size_t i = 0; i < batch->size(); ++i) {
-      right_data_.AppendRowFrom(*batch, i);
-    }
-  }
-  right_->Close();
+  NIMBLE_ASSIGN_OR_RETURN(right_data_, right_->Drain());
   probe_.reset();
   probe_row_ = 0;
   right_pos_ = 0;
@@ -529,18 +471,7 @@ Sort::Sort(std::unique_ptr<Operator> child, std::vector<Key> keys)
 }
 
 Status Sort::DoOpen() {
-  data_ = TupleBatch(child_->schema().size());
-  NIMBLE_RETURN_IF_ERROR(child_->Open());
-  while (true) {
-    NIMBLE_RETURN_IF_ERROR(PollCancel());
-    NIMBLE_ASSIGN_OR_RETURN(std::optional<TupleBatch> batch,
-                            child_->NextBatch());
-    if (!batch.has_value()) break;
-    // push_back growth only — an exact per-batch Reserve is quadratic at
-    // small batch sizes (see the HashJoin build note).
-    for (size_t i = 0; i < batch->size(); ++i) data_.AppendRowFrom(*batch, i);
-  }
-  child_->Close();
+  NIMBLE_ASSIGN_OR_RETURN(data_, child_->Drain());
   // Sort a permutation of physical rows; emitted batches are selection
   // views in sorted order over the (unmoved) columns.
   order_.resize(data_.num_rows());
@@ -637,20 +568,20 @@ Status HashAggregate::DoOpen() {
   }
 
   // Single streaming pass: per-group accumulators updated batch by batch.
-  // Input rows are never buffered. Groups keyed by the serialized scalar
-  // views (value + type), ordered by first appearance.
+  // Input rows are never buffered. A group is keyed on its values — the
+  // type plus Value::Compare, so 3 and 3.0 stay apart — and groups keep
+  // first-appearance order. Key bindings are kept column by column and
+  // become the output's group columns.
   struct Accum {
     int64_t count = 0;
     double sum = 0;
     bool any = false;
     Value min_v, max_v;
   };
-  struct Group {
-    Tuple key_bindings;
-    std::vector<Accum> accums;
-  };
-  std::map<std::vector<std::string>, size_t> index;
-  std::vector<Group> groups;
+  std::vector<std::vector<Binding>> key_columns(group_slots.size());
+  std::vector<Accum> accums;  ///< specs_.size() per group, group-major.
+  std::unordered_multimap<size_t, size_t> index;  ///< key hash → group.
+  size_t num_groups = 0;
   static const Value kOne = Value::Int(1);
 
   NIMBLE_RETURN_IF_ERROR(child_->Open());
@@ -660,22 +591,25 @@ Status HashAggregate::DoOpen() {
                             child_->NextBatch());
     if (!batch.has_value()) break;
     for (size_t i = 0; i < batch->size(); ++i) {
-      std::vector<std::string> key;
-      key.reserve(group_slots.size());
-      for (size_t slot : group_slots) {
-        const Value& v = batch->binding(slot, i).AsScalar();
-        key.push_back(v.ToString() + "\x1f" + ValueTypeName(v.type()));
-      }
-      auto [it, inserted] = index.try_emplace(std::move(key), groups.size());
-      if (inserted) {
-        Group group;
-        for (size_t slot : group_slots) {
-          group.key_bindings.push_back(batch->binding(slot, i));
+      const size_t hash = HashBatchSlots(*batch, i, group_slots);
+      size_t group = num_groups;
+      auto [first, last] = index.equal_range(hash);
+      for (auto it = first; it != last && group == num_groups; ++it) {
+        bool same = true;
+        for (size_t k = 0; same && k < group_slots.size(); ++k) {
+          same = ValueKeyEqual()(key_columns[k][it->second].AsScalar(),
+                                 batch->binding(group_slots[k], i).AsScalar());
         }
-        group.accums.resize(specs_.size());
-        groups.push_back(std::move(group));
+        if (same) group = it->second;
       }
-      Group& group = groups[it->second];
+      if (group == num_groups) {
+        index.emplace(hash, group);
+        for (size_t k = 0; k < group_slots.size(); ++k) {
+          key_columns[k].push_back(batch->binding(group_slots[k], i));
+        }
+        accums.resize(accums.size() + specs_.size());
+        ++num_groups;
+      }
       for (size_t s = 0; s < specs_.size(); ++s) {
         const int in_slot = input_slots[s];
         const Value& v =
@@ -683,7 +617,7 @@ Status HashAggregate::DoOpen() {
                 ? kOne
                 : batch->binding(static_cast<size_t>(in_slot), i).AsScalar();
         if (in_slot >= 0 && v.is_null()) continue;
-        Accum& a = group.accums[s];
+        Accum& a = accums[group * specs_.size() + s];
         ++a.count;
         if (v.is_numeric()) a.sum += v.NumericValue();
         if (!a.any) {
@@ -699,42 +633,42 @@ Status HashAggregate::DoOpen() {
   }
   child_->Close();
 
-  std::vector<size_t> out_slots;
-  for (const Spec& spec : specs_) {
-    out_slots.push_back(*schema_.SlotOf(spec.output_variable));
-  }
+  // Output columns, written directly: the group keys, then one column per
+  // aggregate.
   results_ = TupleBatch(schema_.size());
-  results_.Reserve(groups.size());
-  for (const Group& group : groups) {
-    Tuple out(schema_.size());
-    for (size_t i = 0; i < group.key_bindings.size(); ++i) {
-      out[i] = group.key_bindings[i];
-    }
-    for (size_t s = 0; s < specs_.size(); ++s) {
-      const Accum& a = group.accums[s];
+  for (size_t k = 0; k < group_slots.size(); ++k) {
+    results_.MutableColumn(*schema_.SlotOf(group_variables_[k])) =
+        std::move(key_columns[k]);
+  }
+  for (size_t s = 0; s < specs_.size(); ++s) {
+    std::vector<Binding> column;
+    column.reserve(num_groups);
+    for (size_t g = 0; g < num_groups; ++g) {
+      const Accum& a = accums[g * specs_.size() + s];
       switch (specs_[s].fn) {
         case Fn::kCount:
-          out[out_slots[s]] = Binding{Value::Int(a.count)};
+          column.emplace_back(Value::Int(a.count));
           break;
         case Fn::kSum:
-          out[out_slots[s]] =
-              Binding{a.any ? Value::Double(a.sum) : Value::Null()};
+          column.emplace_back(a.any ? Value::Double(a.sum) : Value::Null());
           break;
         case Fn::kMin:
-          out[out_slots[s]] = Binding{a.any ? a.min_v : Value::Null()};
+          column.emplace_back(a.any ? a.min_v : Value::Null());
           break;
         case Fn::kMax:
-          out[out_slots[s]] = Binding{a.any ? a.max_v : Value::Null()};
+          column.emplace_back(a.any ? a.max_v : Value::Null());
           break;
         case Fn::kAvg:
-          out[out_slots[s]] = Binding{
+          column.emplace_back(
               a.any ? Value::Double(a.sum / static_cast<double>(a.count))
-                    : Value::Null()};
+                    : Value::Null());
           break;
       }
     }
-    results_.AppendTuple(out);
+    results_.MutableColumn(*schema_.SlotOf(specs_[s].output_variable)) =
+        std::move(column);
   }
+  results_.SetNumRows(num_groups);
   position_ = 0;
   return Status::OK();
 }

@@ -27,13 +27,14 @@ struct BoundCondition {
   /// Resolves a parsed condition against `schema`.
   static Result<BoundCondition> Bind(const xmlql::Condition& condition,
                                      const TupleSchema& schema);
-
-  bool Evaluate(const Tuple& tuple) const;
-
-  /// Evaluates against active row `i` of `batch` without materializing a
-  /// tuple (the vectorized Filter path).
-  bool EvaluateAt(const TupleBatch& batch, size_t i) const;
 };
+
+/// Shrinks `batch`'s selection to the active rows that pass every
+/// condition, keeping their order; the columns stay shared and unmoved.
+/// The one place conditions are applied to a batch: Filter runs it per
+/// child batch and the engine per fragment result.
+void ApplyConditions(const std::vector<BoundCondition>& conditions,
+                     TupleBatch* batch);
 
 /// Deadline/cancellation probe threaded into a plan before it drains
 /// (DESIGN.md §2b): returns OK while the query may keep running, Cancelled
@@ -49,9 +50,8 @@ using CancelProbe = std::function<Status()>;
 /// The paper deliberately ships only a *physical* algebra (§3.1): query
 /// plans are built directly in terms of these operators, with no logical
 /// algebra in between. The iteration model is vectorized (DESIGN.md §2g):
-/// predicates shrink a selection vector over shared column storage, joins
-/// build and probe in batch, and a thin row adapter (`Next()`) keeps
-/// tuple-at-a-time callers (CONSTRUCT, tests, tools) working unchanged.
+/// predicates shrink a selection vector over shared column storage, and
+/// joins build and probe in batch.
 class Operator {
  public:
   /// Default rows per batch; EngineOptions::batch_size overrides per plan.
@@ -62,18 +62,13 @@ class Operator {
   virtual const TupleSchema& schema() const = 0;
   virtual std::string label() const = 0;
 
-  /// Resets iteration state (including the row adapter and the batch
-  /// counters) and performs the operator's bulk work.
+  /// Resets iteration state (including the batch counters) and performs
+  /// the operator's bulk work.
   Status Open();
 
   /// Yields the next non-empty batch, or nullopt at end of stream. The
   /// returned batch never has more than batch_size() active rows.
   Result<std::optional<TupleBatch>> NextBatch();
-
-  /// Row adapter over NextBatch(): yields one tuple at a time so
-  /// tuple-oriented callers migrate without a flag day. Mixing Next() and
-  /// NextBatch() on the same operator between Open/Close is not supported.
-  Result<std::optional<Tuple>> Next();
 
   void Close();
 
@@ -85,8 +80,9 @@ class Operator {
   /// counters reset on Open().
   std::string DescribeWithStats(int indent = 0) const;
 
-  /// Drains the operator: Open, collect all tuples, Close.
-  Result<std::vector<Tuple>> Drain();
+  /// Drains the operator: Open, collect every batch into one compacted
+  /// batch (no selection), Close. Polls cancellation between batches.
+  Result<TupleBatch> Drain();
 
   /// Rows per emitted batch; applied to this operator and all children.
   /// Clamped to at least 1.
@@ -150,20 +146,15 @@ class Operator {
   size_t batches_produced_ = 0;
   size_t rows_produced_ = 0;
   double estimated_rows_ = -1.0;  ///< < 0 = no cost annotation.
-  /// Row-adapter state.
-  std::optional<TupleBatch> adapter_batch_;
-  size_t adapter_pos_ = 0;
 };
 
 /// Leaf yielding a pre-materialized columnar table (the output of pattern
 /// matching a fetched collection, or of a pushed-down SQL fragment).
-/// Row-major tuple input is transposed once at construction; emitted
-/// batches are zero-copy views (shared columns + a selection window).
+/// Emitted batches are zero-copy views (shared columns + a selection
+/// window).
 class MaterializedScan : public Operator {
  public:
-  MaterializedScan(TupleSchema schema, std::vector<Tuple> tuples,
-                   std::string source_label = "materialized");
-  /// Columnar construction: `data` must have one column per schema slot.
+  /// `data` must have one column per schema slot.
   MaterializedScan(TupleSchema schema, TupleBatch data,
                    std::string source_label = "materialized");
 
@@ -189,9 +180,9 @@ class MaterializedScan : public Operator {
   std::string source_label_;
 };
 
-/// σ: drops tuples failing any bound condition. Vectorized: evaluates the
-/// conditions over the child batch's columns and emits the same batch with
-/// a shrunk selection vector — survivors are never copied.
+/// σ: drops rows failing any bound condition. Vectorized: applies the
+/// conditions to each child batch (ApplyConditions) and emits the same
+/// batch with a shrunk selection vector — survivors are never copied.
 class Filter : public Operator {
  public:
   Filter(std::unique_ptr<Operator> child, std::vector<BoundCondition> conds);

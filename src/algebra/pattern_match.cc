@@ -7,8 +7,13 @@ namespace {
 
 using xmlql::ElementPattern;
 
+/// One combination of bindings for a record being matched, one entry per
+/// schema slot. Partials combine row-wise while a record's child patterns
+/// unify; only finished rows leave the matcher, as batch columns.
+using Partial = std::vector<Binding>;
+
 /// Merges `from` into `into`; false on a unification conflict.
-bool MergeTuple(const Tuple& from, Tuple* into) {
+bool MergePartial(const Partial& from, Partial* into) {
   for (size_t i = 0; i < from.size(); ++i) {
     if (from[i].is_unset()) continue;
     if ((*into)[i].is_unset()) {
@@ -31,13 +36,13 @@ void MatchingDescendants(const Node& node, const std::string& tag,
 }
 
 /// Matches one pattern element against one concrete node. Appends every
-/// consistent binding tuple to `out` (each of size schema.size()).
+/// consistent binding combination to `out` (each of size schema.size()).
 void MatchElement(const ElementPattern& pattern, const NodePtr& node,
-                  const TupleSchema& schema, std::vector<Tuple>* out) {
+                  const TupleSchema& schema, std::vector<Partial>* out) {
   if (!node->is_element()) return;
   if (pattern.tag != "*" && node->name() != pattern.tag) return;
 
-  Tuple base(schema.size());
+  Partial base(schema.size());
 
   // Attribute constraints and bindings.
   for (const xmlql::AttrPattern& attr : pattern.attributes) {
@@ -69,7 +74,7 @@ void MatchElement(const ElementPattern& pattern, const NodePtr& node,
   }
 
   // Child patterns: cartesian combination with unification.
-  std::vector<Tuple> partials = {std::move(base)};
+  std::vector<Partial> partials = {std::move(base)};
   for (const auto& child_pattern : pattern.children) {
     // Candidate nodes for this child pattern.
     std::vector<NodePtr> candidates;
@@ -84,19 +89,19 @@ void MatchElement(const ElementPattern& pattern, const NodePtr& node,
         }
       }
     }
-    // Tuples produced by the child pattern across all candidates.
-    std::vector<Tuple> child_tuples;
+    // Combinations produced by the child pattern across all candidates.
+    std::vector<Partial> child_partials;
     for (const NodePtr& candidate : candidates) {
-      MatchElement(*child_pattern, candidate, schema, &child_tuples);
+      MatchElement(*child_pattern, candidate, schema, &child_partials);
     }
-    if (child_tuples.empty()) return;  // required child missing
+    if (child_partials.empty()) return;  // required child missing
 
-    std::vector<Tuple> next;
-    next.reserve(partials.size() * child_tuples.size());
-    for (const Tuple& partial : partials) {
-      for (const Tuple& child_tuple : child_tuples) {
-        Tuple merged = partial;
-        if (MergeTuple(child_tuple, &merged)) {
+    std::vector<Partial> next;
+    next.reserve(partials.size() * child_partials.size());
+    for (const Partial& partial : partials) {
+      for (const Partial& child_partial : child_partials) {
+        Partial merged = partial;
+        if (MergePartial(child_partial, &merged)) {
           next.push_back(std::move(merged));
         }
       }
@@ -105,7 +110,7 @@ void MatchElement(const ElementPattern& pattern, const NodePtr& node,
     partials = std::move(next);
   }
 
-  for (Tuple& tuple : partials) out->push_back(std::move(tuple));
+  for (Partial& partial : partials) out->push_back(std::move(partial));
 }
 
 }  // namespace
@@ -118,9 +123,9 @@ TupleSchema SchemaForPattern(const xmlql::ElementPattern& pattern) {
   return schema;
 }
 
-Result<std::vector<Tuple>> MatchPattern(const xmlql::ElementPattern& pattern,
-                                        const NodePtr& tree,
-                                        const TupleSchema& schema) {
+Result<TupleBatch> MatchPattern(const xmlql::ElementPattern& pattern,
+                                const NodePtr& tree,
+                                const TupleSchema& schema) {
   // Verify every pattern variable has a slot.
   std::vector<std::string> variables;
   pattern.CollectVariables(&variables);
@@ -130,7 +135,7 @@ Result<std::vector<Tuple>> MatchPattern(const xmlql::ElementPattern& pattern,
                                      " missing from tuple schema");
     }
   }
-  std::vector<Tuple> out;
+  std::vector<Partial> rows;
   if (pattern.descendant) {
     std::vector<NodePtr> candidates;
     if (pattern.tag == "*" || tree->name() == pattern.tag) {
@@ -138,11 +143,20 @@ Result<std::vector<Tuple>> MatchPattern(const xmlql::ElementPattern& pattern,
     }
     MatchingDescendants(*tree, pattern.tag, &candidates);
     for (const NodePtr& candidate : candidates) {
-      MatchElement(pattern, candidate, schema, &out);
+      MatchElement(pattern, candidate, schema, &rows);
     }
   } else {
-    MatchElement(pattern, tree, schema, &out);
+    MatchElement(pattern, tree, schema, &rows);
   }
+  // Move the finished rows into columns, keeping document order.
+  TupleBatch out(schema.size());
+  out.Reserve(rows.size());
+  for (Partial& row : rows) {
+    for (size_t slot = 0; slot < row.size(); ++slot) {
+      out.MutableColumn(slot).push_back(std::move(row[slot]));
+    }
+  }
+  out.SetNumRows(rows.size());
   return out;
 }
 

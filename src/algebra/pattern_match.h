@@ -1,8 +1,6 @@
 #ifndef NIMBLE_ALGEBRA_PATTERN_MATCH_H_
 #define NIMBLE_ALGEBRA_PATTERN_MATCH_H_
 
-#include <vector>
-
 #include "algebra/tuple.h"
 #include "common/result.h"
 #include "xml/node.h"
@@ -15,14 +13,15 @@ namespace algebra {
 /// first-occurrence order.
 TupleSchema SchemaForPattern(const xmlql::ElementPattern& pattern);
 
-/// Matches `pattern` against the tree rooted at `tree`, producing one tuple
-/// per combination of matching sub-elements (bag semantics, document
-/// order). Repeated variables unify: a binding conflict drops the
-/// combination. The root pattern must match `tree` itself unless it is a
-/// descendant pattern (`<//tag>`), which searches the whole tree.
-Result<std::vector<Tuple>> MatchPattern(const xmlql::ElementPattern& pattern,
-                                        const NodePtr& tree,
-                                        const TupleSchema& schema);
+/// Matches `pattern` against the tree rooted at `tree`, producing one row
+/// of `schema`-shaped columns per combination of matching sub-elements
+/// (bag semantics, document order). Repeated variables unify: a binding
+/// conflict drops the combination. The root pattern must match `tree`
+/// itself unless it is a descendant pattern (`<//tag>`), which searches the
+/// whole tree.
+Result<TupleBatch> MatchPattern(const xmlql::ElementPattern& pattern,
+                                const NodePtr& tree,
+                                const TupleSchema& schema);
 
 }  // namespace algebra
 }  // namespace nimble

@@ -70,68 +70,20 @@ void TupleBatch::Reserve(size_t rows) {
   for (std::vector<Binding>& column : *columns_) column.reserve(rows);
 }
 
-void TupleBatch::AppendTuple(const Tuple& tuple) {
+void TupleBatch::Append(const TupleBatch& src) {
   assert(columns_.use_count() == 1 && "mutating shared batch storage");
-  assert(tuple.size() == columns_->size());
-  for (size_t slot = 0; slot < tuple.size(); ++slot) {
-    (*columns_)[slot].push_back(tuple[slot]);
-  }
-  ++num_rows_;
-}
-
-void TupleBatch::AppendRowFrom(const TupleBatch& src, size_t i) {
-  assert(columns_.use_count() == 1 && "mutating shared batch storage");
-  assert(src.num_slots() == columns_->size());
-  const size_t phys = src.PhysicalRow(i);
-  for (size_t slot = 0; slot < columns_->size(); ++slot) {
-    (*columns_)[slot].push_back(src.column(slot)[phys]);
-  }
-  ++num_rows_;
-}
-
-Tuple TupleBatch::MaterializeTuple(size_t i) const {
-  const size_t phys = PhysicalRow(i);
-  Tuple tuple;
-  tuple.reserve(num_slots());
+  assert(src.num_slots() == num_slots() && &src != this);
   for (size_t slot = 0; slot < num_slots(); ++slot) {
-    tuple.push_back((*columns_)[slot][phys]);
-  }
-  return tuple;
-}
-
-TupleBatch TupleBatch::FromTuples(size_t num_slots,
-                                  const std::vector<Tuple>& tuples) {
-  TupleBatch batch(num_slots);
-  batch.Reserve(tuples.size());
-  for (const Tuple& tuple : tuples) {
-    // Tolerates ragged input: a tuple shorter than the schema leaves its
-    // missing columns short, which the plan verifier reports (I12) rather
-    // than this constructor silently papering over a compiler bug.
-    const size_t n = std::min(num_slots, tuple.size());
-    for (size_t slot = 0; slot < n; ++slot) {
-      (*batch.columns_)[slot].push_back(tuple[slot]);
+    const std::vector<Binding>& from = src.column(slot);
+    std::vector<Binding>& to = (*columns_)[slot];
+    // Range insert grows geometrically, like push_back.
+    if (!src.has_selection_) {
+      to.insert(to.end(), from.begin(), from.end());
+    } else {
+      for (uint32_t phys : src.selection_) to.push_back(from[phys]);
     }
-    ++batch.num_rows_;
   }
-  return batch;
-}
-
-size_t HashSlots(const Tuple& tuple, const std::vector<size_t>& slots) {
-  size_t h = 0xcbf29ce484222325ULL;
-  for (size_t slot : slots) {
-    h ^= tuple[slot].Hash();
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-bool SlotsEqual(const Tuple& a, const std::vector<size_t>& slots_a,
-                const Tuple& b, const std::vector<size_t>& slots_b) {
-  if (slots_a.size() != slots_b.size()) return false;
-  for (size_t i = 0; i < slots_a.size(); ++i) {
-    if (!a[slots_a[i]].EqualsForJoin(b[slots_b[i]])) return false;
-  }
-  return true;
+  num_rows_ += src.size();
 }
 
 size_t HashBatchSlots(const TupleBatch& batch, size_t i,

@@ -58,10 +58,7 @@ class Binding {
   NodePtr node_;
 };
 
-/// A tuple of bindings, positionally aligned with a TupleSchema.
-using Tuple = std::vector<Binding>;
-
-/// Maps variable names to tuple slots.
+/// Maps variable names to batch column slots.
 class TupleSchema {
  public:
   TupleSchema() = default;
@@ -90,13 +87,14 @@ class TupleSchema {
   std::vector<std::string> variables_;
 };
 
-/// A batch of tuples in column-major layout: one Binding vector per schema
-/// slot, plus an optional selection vector naming the live rows. This is
-/// the unit of data flow in the vectorized physical algebra (DESIGN.md
-/// §2g): operators amortize virtual dispatch over `batch_size` rows,
-/// predicates shrink the selection vector instead of copying survivors, and
-/// column storage is shared (never copied) between a scan and the
-/// pass-through operators above it.
+/// A batch of binding rows in column-major layout: one Binding vector per
+/// schema slot, plus an optional selection vector naming the live rows.
+/// This is the one binding format of the mediator — pattern matching, the
+/// operators, shard answers and CONSTRUCT all speak it (DESIGN.md §2g).
+/// Operators amortize virtual dispatch over `batch_size` rows, predicates
+/// shrink the selection vector instead of copying survivors, and column
+/// storage is shared (never copied) between a scan and the pass-through
+/// operators above it.
 ///
 /// Storage is a shared, immutable-once-shared column set. Builders append
 /// through the mutating API while they hold the only reference; Filter and
@@ -159,22 +157,14 @@ class TupleBatch {
     return (*columns_)[slot];
   }
 
-  /// Appends a row-major tuple (arity must equal num_slots()).
-  void AppendTuple(const Tuple& tuple);
-
-  /// Appends active row `i` of `src` (same arity).
-  void AppendRowFrom(const TupleBatch& src, size_t i);
+  /// Appends the active rows of `src` (same arity), in order. Growth is
+  /// amortized: no exact per-call reserve, so appending many small batches
+  /// stays linear (DESIGN.md §2g).
+  void Append(const TupleBatch& src);
 
   /// Declares the physical row count after filling columns directly via
   /// MutableColumn (all columns must have exactly `rows` entries).
   void SetNumRows(size_t rows) { num_rows_ = rows; }
-
-  /// Materializes active row `i` as a row-major Tuple.
-  Tuple MaterializeTuple(size_t i) const;
-
-  /// Builds a column-major batch from row-major tuples.
-  static TupleBatch FromTuples(size_t num_slots,
-                               const std::vector<Tuple>& tuples);
 
  private:
   using ColumnSet = std::vector<std::vector<Binding>>;
@@ -185,13 +175,8 @@ class TupleBatch {
   std::vector<uint32_t> selection_;
 };
 
-/// Hash/equality over the scalar views of selected slots (join keys).
-size_t HashSlots(const Tuple& tuple, const std::vector<size_t>& slots);
-bool SlotsEqual(const Tuple& a, const std::vector<size_t>& slots_a,
-                const Tuple& b, const std::vector<size_t>& slots_b);
-
-/// Batch-side join-key helpers: hash / compare the key slots of active row
-/// `i` of a batch without materializing a Tuple.
+/// Join-key helpers: hash / compare the key slots of active row `i` of a
+/// batch.
 size_t HashBatchSlots(const TupleBatch& batch, size_t i,
                       const std::vector<size_t>& slots);
 bool BatchSlotsEqual(const TupleBatch& a, size_t ai,

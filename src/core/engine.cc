@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
-#include <set>
+#include <unordered_set>
 
 #include "algebra/construct.h"
 #include "algebra/pattern_match.h"
@@ -18,12 +18,12 @@ namespace core {
 
 namespace {
 
-/// Applies bound conditions over a fragment batch by shrinking its
-/// selection vector; surviving rows stay in the shared columns, unmoved.
-Result<size_t> FilterBatch(const std::vector<const xmlql::Condition*>& conds,
-                           const algebra::TupleSchema& schema,
-                           algebra::TupleBatch* batch) {
-  if (conds.empty()) return batch->size();
+/// Binds `conds` against `schema` and applies them to a fragment batch
+/// (algebra::ApplyConditions): the selection shrinks, and surviving rows
+/// stay in the shared columns, unmoved.
+Status FilterBatch(const std::vector<const xmlql::Condition*>& conds,
+                   const algebra::TupleSchema& schema,
+                   algebra::TupleBatch* batch) {
   std::vector<algebra::BoundCondition> bound;
   bound.reserve(conds.size());
   for (const xmlql::Condition* cond : conds) {
@@ -31,20 +31,8 @@ Result<size_t> FilterBatch(const std::vector<const xmlql::Condition*>& conds,
                             algebra::BoundCondition::Bind(*cond, schema));
     bound.push_back(bc);
   }
-  std::vector<uint32_t> kept;
-  kept.reserve(batch->size());
-  for (size_t i = 0; i < batch->size(); ++i) {
-    bool pass = true;
-    for (const algebra::BoundCondition& bc : bound) {
-      if (!bc.EvaluateAt(*batch, i)) {
-        pass = false;
-        break;
-      }
-    }
-    if (pass) kept.push_back(static_cast<uint32_t>(batch->PhysicalRow(i)));
-  }
-  batch->SetSelection(std::move(kept));
-  return batch->size();
+  algebra::ApplyConditions(bound, batch);
+  return Status::OK();
 }
 
 void AddUnique(std::vector<std::string>* list, const std::string& item) {
@@ -75,9 +63,18 @@ Status DegradeBranch(const Status& status,
   return Status::OK();
 }
 
-std::unique_ptr<PlanCache> MakePlanCache(const EngineOptions& options) {
-  return std::make_unique<PlanCache>(
-      std::max<size_t>(options.plan_cache_entries, 1));
+/// The admission scheduler `options` ask for; nullptr when
+/// `max_inflight_queries` is 0.
+std::unique_ptr<sched::QueryScheduler> MakeScheduler(
+    const EngineOptions& options, Clock* clock, ThreadPool* pool) {
+  if (options.max_inflight_queries == 0) return nullptr;
+  sched::SchedulerOptions sched_options;
+  sched_options.max_inflight_queries = options.max_inflight_queries;
+  sched_options.queue_capacity = options.queue_capacity;
+  sched_options.load_shedding = options.load_shedding;
+  sched_options.tenant_weights = options.tenant_weights;
+  sched_options.default_tenant_weight = options.default_tenant_weight;
+  return std::make_unique<sched::QueryScheduler>(sched_options, clock, pool);
 }
 
 }  // namespace
@@ -143,10 +140,13 @@ void QueryHandle::Fulfill(Result<QueryResult> result) {
 IntegrationEngine::IntegrationEngine(metadata::Catalog* catalog,
                                      EngineOptions options)
     : catalog_(catalog),
-      options_(options),
-      plan_cache_(MakePlanCache(options)) {
-  ConfigureScheduler();
-}
+      options_(std::move(options)),
+      owned_pool_(options_.worker_threads > 0
+                      ? std::make_unique<ThreadPool>(options_.worker_threads)
+                      : nullptr),
+      plan_cache_(std::make_unique<PlanCache>(
+          std::max<size_t>(options_.plan_cache_entries, 1))),
+      scheduler_(MakeScheduler(options_, clock(), pool())) {}
 
 IntegrationEngine::~IntegrationEngine() {
   // Scheduled submits drain in ~QueryScheduler (declared last, destroyed
@@ -158,48 +158,11 @@ IntegrationEngine::~IntegrationEngine() {
   while (inflight_submits_ > 0) inflight_cv_.Wait(inflight_mutex_);
 }
 
-void IntegrationEngine::set_options(const EngineOptions& options) {
-  // The scheduler holds the current pool/clock: drain and drop it before
-  // either can change underneath it.
-  scheduler_.reset();
-  options_ = options;
-  if (options_.worker_threads == 0) {
-    owned_pool_.reset();
-  } else if (owned_pool_ == nullptr ||
-             owned_pool_->size() != options_.worker_threads) {
-    owned_pool_ = std::make_unique<ThreadPool>(options_.worker_threads);
-  }
-  plan_cache_ = MakePlanCache(options_);
-  ConfigureScheduler();
+ThreadPool* IntegrationEngine::pool() const {
+  return owned_pool_ != nullptr ? owned_pool_.get() : ThreadPool::Shared();
 }
 
-void IntegrationEngine::ConfigureScheduler() {
-  if (options_.max_inflight_queries == 0) {
-    scheduler_.reset();
-    return;
-  }
-  sched::SchedulerOptions sched_options;
-  sched_options.max_inflight_queries = options_.max_inflight_queries;
-  sched_options.max_inflight_bytes = options_.max_inflight_bytes;
-  sched_options.queue_capacity = options_.queue_capacity;
-  sched_options.load_shedding = options_.load_shedding;
-  sched_options.tenant_weights = options_.tenant_weights;
-  sched_options.default_tenant_weight = options_.default_tenant_weight;
-  scheduler_ =
-      std::make_unique<sched::QueryScheduler>(sched_options, clock(), pool());
-}
-
-ThreadPool* IntegrationEngine::pool() {
-  if (options_.worker_threads == 0) return ThreadPool::Shared();
-  // Engines configured at construction time never pass through
-  // set_options; create the private pool on the constructor thread here.
-  if (owned_pool_ == nullptr) {
-    owned_pool_ = std::make_unique<ThreadPool>(options_.worker_threads);
-  }
-  return owned_pool_.get();
-}
-
-Clock* IntegrationEngine::clock() {
+Clock* IntegrationEngine::clock() const {
   if (options_.clock != nullptr) return options_.clock;
   static RealClock real_clock;
   return &real_clock;
@@ -286,7 +249,6 @@ QueryHandlePtr IntegrationEngine::SubmitQuery(
   info.tenant = query_options.tenant;
   info.priority = query_options.priority;
   info.deadline_micros = options_.query_deadline_micros;
-  info.estimated_bytes = query_options.estimated_bytes;
   // Dequeue-time drop watches the handle's flag; the caller's own
   // QueryOptions::cancel still stops execution cooperatively.
   info.cancel = &handle->cancel_;
@@ -365,8 +327,7 @@ Result<QueryResult> IntegrationEngine::ExecuteBindingsNow(
     // variable the pattern does not bind; binding them fails here exactly
     // as it fails the local plan.
     NIMBLE_RETURN_IF_ERROR(
-        FilterBatch(fragmentation.cross_conditions, fr->schema, &fr->data)
-            .status());
+        FilterBatch(fragmentation.cross_conditions, fr->schema, &fr->data));
     algebra::MaterializedScan scan(std::move(fr->schema), std::move(fr->data),
                                    fr->label);
     report.plan = scan.Describe();
@@ -489,7 +450,7 @@ void IntegrationEngine::HarvestBindValues(
   for (const std::string& var : fr.schema.variables()) {
     if (bind_values->count(var) > 0) continue;
     size_t slot = *fr.schema.SlotOf(var);
-    std::set<std::string> seen;
+    std::unordered_set<Value, ValueKeyHash, ValueKeyEqual> seen;
     std::vector<Value> distinct;
     bool usable = true;
     for (size_t i = 0; i < fr.data.size(); ++i) {
@@ -498,10 +459,8 @@ void IntegrationEngine::HarvestBindValues(
         usable = false;
         break;
       }
-      Value v = binding.AsScalar();
-      std::string key =
-          std::string(ValueTypeName(v.type())) + "\x1f" + v.ToString();
-      if (seen.insert(key).second) distinct.push_back(std::move(v));
+      const Value& v = binding.AsScalar();
+      if (seen.insert(v).second) distinct.push_back(v);
       if (distinct.size() > options_.bind_join_limit) {
         usable = false;
         break;
@@ -642,16 +601,16 @@ Status IntegrationEngine::ExecuteBranch(const xmlql::Query& query,
   // Adaptive feedback, scan level: feed observed collection sizes back
   // into the catalog. RecordObservedRows advances the stats epoch only
   // when a previously recorded row count was off by more than the replan
-  // factor, so cached plans re-optimize exactly when the data moved —
-  // self-limiting, because the update also corrects the count.
+  // factor (in either direction), so cached plans re-optimize exactly when
+  // the data moved — self-limiting, because the update also corrects the
+  // count.
   if (options_.enable_cost_optimizer) {
+    constexpr double kReplanErrorFactor = 10.0;
     metadata::StatisticsCatalog& stats = catalog_->statistics();
-    const double factor =
-        std::max(options_.replan_estimate_error_factor, 1.0);
     for (const FragmentResult& fr : fragment_results) {
       if (fr.stat_source.empty() || fr.base_rows < 0.0) continue;
       stats.RecordObservedRows(fr.stat_source, fr.stat_collection,
-                               fr.base_rows, factor);
+                               fr.base_rows, kReplanErrorFactor);
     }
   }
 
@@ -743,13 +702,10 @@ Result<IntegrationEngine::FragmentResult> IntegrationEngine::EvaluateFragment(
     out.rows_shipped = nested.rows_shipped;
     out.schema = fragment.schema;
     NIMBLE_ASSIGN_OR_RETURN(
-        std::vector<algebra::Tuple> matched,
-        algebra::MatchPattern(fragment.pattern->root, view_result->document,
-                              out.schema));
-    out.data = algebra::TupleBatch::FromTuples(out.schema.size(), matched);
+        out.data, algebra::MatchPattern(fragment.pattern->root,
+                                        view_result->document, out.schema));
     NIMBLE_RETURN_IF_ERROR(
-        FilterBatch(fragment.local_conditions, out.schema, &out.data)
-            .status());
+        FilterBatch(fragment.local_conditions, out.schema, &out.data));
     out.label = "view:" + source_ref.collection;
     return out;
   }
@@ -836,8 +792,7 @@ Result<IntegrationEngine::FragmentResult> IntegrationEngine::EvaluateFragment(
   // Try SQL pushdown first.
   if (options_.enable_pushdown) {
     Result<SqlTranslation> translation = TranslateFragmentToSql(
-        fragment, source->capabilities(),
-        /*push_predicates=*/true, effective_bind, top_pushdown);
+        fragment, source->capabilities(), effective_bind, top_pushdown);
     if (translation.ok()) {
       Result<relational::ResultSet> rs = with_retries(
           [&] { return source->ExecuteSql(translation->sql, request); });
@@ -872,7 +827,7 @@ Result<IntegrationEngine::FragmentResult> IntegrationEngine::EvaluateFragment(
         }
         if (!consumed) residual.push_back(cond);
       }
-      NIMBLE_RETURN_IF_ERROR(FilterBatch(residual, schema, &data).status());
+      NIMBLE_RETURN_IF_ERROR(FilterBatch(residual, schema, &data));
 
       out.schema = std::move(schema);
       out.data = std::move(data);
@@ -929,11 +884,10 @@ Result<IntegrationEngine::FragmentResult> IntegrationEngine::EvaluateFragment(
   // row count for statistics upkeep.
   out.base_rows = static_cast<double>((*tree)->children().size());
   NIMBLE_ASSIGN_OR_RETURN(
-      std::vector<algebra::Tuple> matched,
+      out.data,
       algebra::MatchPattern(fragment.pattern->root, *tree, out.schema));
-  out.data = algebra::TupleBatch::FromTuples(out.schema.size(), matched);
   NIMBLE_RETURN_IF_ERROR(
-      FilterBatch(fragment.local_conditions, out.schema, &out.data).status());
+      FilterBatch(fragment.local_conditions, out.schema, &out.data));
   out.rows_shipped = call_stats.rows_shipped;
   out.latency_micros = call_stats.latency_micros;
   out.label = "fetch:" + source_ref.ToString();

@@ -89,14 +89,6 @@ struct EngineOptions {
   /// ablation: the pre-statistics heuristic plans verbatim, with no
   /// est_rows annotations.
   bool enable_cost_optimizer = true;
-  /// Records sampled per collection by Analyze() (0 = all rows). Row
-  /// counts are always exact; per-column detail comes from the sample.
-  size_t analyze_sample_rows = 10000;
-  /// Adaptive statistics trigger: when a collection's recorded row count is
-  /// off from the count a scan observed by more than this factor (in either
-  /// direction), the count is corrected and the statistics epoch advances.
-  /// Clamped to >= 1.
-  double replan_estimate_error_factor = 10.0;
   /// Run the three-stage static-analysis pass (strict semantic analysis
   /// with catalog resolution, fragmentation verification with SQL
   /// round-trip, and operator-tree IR invariants — DESIGN.md §2f) on every
@@ -115,8 +107,6 @@ struct EngineOptions {
   /// scheduler disabled (submissions execute immediately, the pre-scheduler
   /// behaviour — existing callers are untouched by default).
   size_t max_inflight_queries = 0;
-  /// Byte budget over the in-flight queries' `estimated_bytes` (0 = off).
-  size_t max_inflight_bytes = 0;
   /// Bounded admission queue: submissions beyond this many queued entries
   /// are shed with ResourceExhausted + a retry_after_micros hint.
   size_t queue_capacity = 64;
@@ -147,8 +137,6 @@ struct QueryOptions {
   std::string tenant;
   /// Strict scheduler priority class: 0 dequeues before 1, and so on.
   int priority = 0;
-  /// Estimated result bytes, charged against max_inflight_bytes.
-  size_t estimated_bytes = 0;
 };
 
 /// What happened while executing a query: the evidence stream for the
@@ -178,7 +166,7 @@ struct ExecutionReport {
   std::string Summary() const;
 };
 
-/// Variable bindings of one evaluated fragment: the tuples the physical
+/// Variable bindings of one evaluated fragment: the rows the physical
 /// algebra passes between operators, before any CONSTRUCT.
 struct Bindings {
   algebra::TupleSchema schema;
@@ -246,8 +234,9 @@ using QueryHandlePtr = std::shared_ptr<QueryHandle>;
 /// physical-algebra plan in the mediator, and constructs XML results.
 ///
 /// ExecuteText/Submit/SubmitBindings are safe to call from many threads at
-/// once (the load balancer and the stress tests do); set_options is not —
-/// reconfigure only while no queries are in flight.
+/// once (the load balancer and the stress tests do). Configuration is fixed
+/// at construction; a different configuration is a new engine over the
+/// same catalog.
 class IntegrationEngine {
  public:
   /// `catalog` must outlive the engine.
@@ -293,14 +282,15 @@ class IntegrationEngine {
       std::string_view text);
 
   const EngineOptions& options() const { return options_; }
-  void set_options(const EngineOptions& options);
   metadata::Catalog* catalog() { return catalog_; }
 
-  /// Runs an Analyze() pass over every registered source, sampling
-  /// `analyze_sample_rows` records per collection. Bumps the statistics
-  /// epoch, so cached plans re-optimize under the fresh stats.
+  /// Runs an Analyze() pass over every registered source. Row counts are
+  /// exact; per-column detail comes from a sample of each collection. Bumps
+  /// the statistics epoch, so cached plans re-optimize under the fresh
+  /// stats.
   Status Analyze() {
-    return catalog_->AnalyzeAllSources(options_.analyze_sample_rows);
+    constexpr size_t kAnalyzeSampleRows = 10000;
+    return catalog_->AnalyzeAllSources(kAnalyzeSampleRows);
   }
 
   /// The compiled-plan cache; never null.
@@ -317,9 +307,8 @@ class IntegrationEngine {
   }
 
  private:
-  /// The tuples produced for one fragment plus accounting, held
-  /// column-major so the scan at the bottom of the mediator plan shares
-  /// the columns instead of re-transposing row-major tuples.
+  /// The bindings produced for one fragment plus accounting; the scan at
+  /// the bottom of the mediator plan shares their columns.
   struct FragmentResult {
     algebra::TupleSchema schema;
     algebra::TupleBatch data;
@@ -346,13 +335,9 @@ class IntegrationEngine {
   };
 
   /// The worker pool fragment waves are scheduled on.
-  ThreadPool* pool();
+  ThreadPool* pool() const;
   /// The clock deadlines/backoff run on.
-  Clock* clock();
-
-  /// (Re)builds the admission scheduler from `options_` (nullptr when
-  /// `max_inflight_queries` is 0).
-  void ConfigureScheduler();
+  Clock* clock() const;
 
   /// The body of one submitted query: runs with the time it spent queued
   /// and the handle's cancel flag.
@@ -437,15 +422,9 @@ class IntegrationEngine {
       const xmlql::Query& query);
 
   metadata::Catalog* const catalog_;
-  /// Everything below down to the plan cache changes only inside
-  /// set_options, which the class contract forbids while queries are in
-  /// flight.
-  // nimble-lint: unguarded(set_options contract: reconfigured only with no queries in flight)
-  EngineOptions options_;
-  // nimble-lint: unguarded(set_options contract: reconfigured only with no queries in flight)
-  std::unique_ptr<ThreadPool> owned_pool_;  ///< when worker_threads > 0.
-  // nimble-lint: unguarded(set_options contract: reconfigured only with no queries in flight)
-  std::unique_ptr<PlanCache> plan_cache_;
+  const EngineOptions options_;
+  const std::unique_ptr<ThreadPool> owned_pool_;  ///< when worker_threads > 0.
+  const std::unique_ptr<PlanCache> plan_cache_;
   std::atomic<uint64_t> queries_served_{0};
   /// Unscheduled Submit tasks still running on the worker pool. The
   /// destructor drains this to zero, so an abandoned handle — e.g. a
@@ -454,10 +433,10 @@ class IntegrationEngine {
   mutable Mutex inflight_mutex_{LockRank::kEngineInflight, "engine.inflight"};
   CondVar inflight_cv_;
   size_t inflight_submits_ NIMBLE_GUARDED_BY(inflight_mutex_) = 0;
-  /// Declared last: destroyed first, so shutdown drains queued/in-flight
-  /// queries while the pool and the plan cache are still alive.
-  // nimble-lint: unguarded(set_options contract: reconfigured only with no queries in flight)
-  std::unique_ptr<sched::QueryScheduler> scheduler_;
+  /// nullptr when `max_inflight_queries` is 0. Declared last: destroyed
+  /// first, so shutdown drains queued/in-flight queries while the pool and
+  /// the plan cache are still alive.
+  const std::unique_ptr<sched::QueryScheduler> scheduler_;
 };
 
 }  // namespace core

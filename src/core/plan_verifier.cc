@@ -26,8 +26,7 @@ Status VerifySqlPushdown(const Fragment& fragment,
                          const connector::Connector& source,
                          const std::string& label) {
   const connector::SourceCapabilities caps = source.capabilities();
-  Result<SqlTranslation> translation = TranslateFragmentToSql(
-      fragment, caps, /*push_predicates=*/true);
+  Result<SqlTranslation> translation = TranslateFragmentToSql(fragment, caps);
 
   if (!caps.supports_sql) {
     if (translation.ok()) {

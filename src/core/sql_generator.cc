@@ -47,8 +47,7 @@ bool FieldIsPlain(const xmlql::ElementPattern& p) {
 
 Result<SqlTranslation> TranslateFragmentToSql(
     const Fragment& fragment, const connector::SourceCapabilities& caps,
-    bool push_predicates, const BindValues* bind_values,
-    const TopLevelPushdown* top) {
+    const BindValues* bind_values, const TopLevelPushdown* top) {
   if (!caps.supports_sql) {
     return Status::Unsupported("source does not accept SQL");
   }
@@ -114,7 +113,7 @@ Result<SqlTranslation> TranslateFragmentToSql(
                                  SqlExpr::ColumnRef("", col_b)));
   }
 
-  if (push_predicates && caps.supports_predicates) {
+  if (caps.supports_predicates) {
     for (const xmlql::Condition* condition : fragment.local_conditions) {
       // Both operands must translate: variables to columns of this table,
       // literals verbatim.
@@ -142,7 +141,7 @@ Result<SqlTranslation> TranslateFragmentToSql(
   }
   // Bind-join semijoin filters: for variables whose complete value set is
   // already known from other fragments, push `col IN (…)`.
-  if (push_predicates && caps.supports_predicates && bind_values != nullptr) {
+  if (caps.supports_predicates && bind_values != nullptr) {
     for (const auto& [var, values] : *bind_values) {
       auto it = var_to_column.find(var);
       if (it == var_to_column.end()) continue;

@@ -59,8 +59,7 @@ using BindValues = std::map<std::string, std::vector<Value>>;
 /// Anything else (attributes, nesting, descendant steps, ELEMENT_AS)
 /// returns kUnsupported and the engine falls back to fetch-and-match.
 ///
-/// When `push_predicates` is false (the E3 ablation), only the projection
-/// is pushed; all conditions stay in the mediator.
+/// Local conditions are pushed when the source `supports_predicates`.
 /// `top` (nullable) carries ORDER BY / LIMIT when the fragment is the
 /// whole query (single fragment, no cross conditions, no aggregation):
 /// ORDER BY is pushed when every key maps to a column; LIMIT additionally
@@ -68,7 +67,7 @@ using BindValues = std::map<std::string, std::vector<Value>>;
 /// residual filter after a source-side LIMIT would drop rows).
 Result<SqlTranslation> TranslateFragmentToSql(
     const Fragment& fragment, const connector::SourceCapabilities& caps,
-    bool push_predicates, const BindValues* bind_values = nullptr,
+    const BindValues* bind_values = nullptr,
     const TopLevelPushdown* top = nullptr);
 
 }  // namespace core

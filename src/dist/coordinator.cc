@@ -446,9 +446,7 @@ Result<core::QueryResult> Coordinator::ExecuteScattered(
         return Status::Internal("shard " + std::to_string(run.shard) +
                                 " answered without the branch's bindings");
       }
-      for (size_t i = 0; i < bindings->batch.size(); ++i) {
-        rows.AppendRowFrom(bindings->batch, i);
-      }
+      rows.Append(bindings->batch);
     }
     if (!runs[b].empty() && degraded == runs[b].size()) {
       report.completeness.skipped_branches.push_back(b);

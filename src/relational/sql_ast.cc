@@ -1,5 +1,8 @@
 #include "relational/sql_ast.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "common/strings.h"
 
 namespace nimble {
@@ -90,8 +93,19 @@ std::string SqlQuote(const Value& v) {
     case ValueType::kBool:
       return v.AsBool() ? "TRUE" : "FALSE";
     case ValueType::kInt:
-    case ValueType::kDouble:
       return v.ToString();
+    case ValueType::kDouble: {
+      // The fewest significant digits, from ToString's 12 up to 17, that
+      // parse back to the same double: a pushed literal or IN key selects
+      // exactly its value, and every literal ToString renders exactly
+      // keeps that text.
+      char buf[32];
+      for (int digits = 12; digits <= 17; ++digits) {
+        std::snprintf(buf, sizeof(buf), "%.*g", digits, v.AsDouble());
+        if (std::strtod(buf, nullptr) == v.AsDouble()) break;
+      }
+      return buf;
+    }
     case ValueType::kString:
       return "'" + ReplaceAll(v.AsString(), "'", "''") + "'";
   }

@@ -293,29 +293,7 @@ void QueryScheduler::DispatchLocked(
          queue_depth_ > 0) {
     EntryPtr entry = PopNextLocked(dropped);
     if (entry == nullptr) break;  // only dropped entries were left
-    if (options_.max_inflight_bytes > 0 && inflight_queries_ > 0 &&
-        inflight_bytes_ + entry->info.estimated_bytes >
-            options_.max_inflight_bytes) {
-      // Byte budget exceeded: head-of-line wait until in-flight work
-      // retires. (With nothing in flight an oversized query is admitted
-      // alone rather than starved forever.) Undo the pop so DRR state and
-      // queue order are exactly as before.
-      Tenant* tenant = GetTenantLocked(entry->info.tenant);
-      auto& pc = tenant->classes[entry->info.priority];
-      entry->claimed = false;
-      live_[entry->id] = entry;
-      pc.queue.push_front(entry);
-      pc.deficit++;
-      if (!pc.in_ring) {
-        pc.in_ring = true;
-        classes_[entry->info.priority].ring.push_front(tenant);
-      }
-      queue_depth_++;
-      tenant->queued++;
-      break;
-    }
     inflight_queries_++;
-    inflight_bytes_ += entry->info.estimated_bytes;
     admitted_++;
     GetTenantLocked(entry->info.tenant)->admitted++;
     to_run->push_back(entry);
@@ -345,7 +323,6 @@ void QueryScheduler::RunEntry(const EntryPtr& entry) {
   {
     MutexLock lock(mutex_);
     inflight_queries_--;
-    inflight_bytes_ -= entry->info.estimated_bytes;
     completed_++;
     GetTenantLocked(entry->info.tenant)->completed++;
     avg_service_micros_ =
@@ -394,7 +371,6 @@ SchedulerStats QueryScheduler::stats() const {
     out.dropped_cancelled = dropped_cancelled_;
     out.queue_depth = queue_depth_;
     out.inflight_queries = inflight_queries_;
-    out.inflight_bytes = inflight_bytes_;
     for (const auto& [name, tenant] : tenants_) {
       TenantStats ts;
       ts.tenant = name;

@@ -26,11 +26,6 @@ struct SchedulerOptions {
   /// Token-based concurrency limiter: at most this many queries execute at
   /// once; the rest wait in the admission queue. Must be >= 1.
   size_t max_inflight_queries = 4;
-  /// Byte-based limiter: the sum of the in-flight queries' estimated result
-  /// bytes stays under this budget (0 = no byte gate). A query whose
-  /// estimate does not fit waits at the head of the queue unless nothing is
-  /// in flight (an oversized query is admitted alone rather than starved).
-  size_t max_inflight_bytes = 0;
   /// Bounded admission queue: submissions beyond this many *queued* entries
   /// are rejected with ResourceExhausted (in-flight queries do not count).
   size_t queue_capacity = 64;
@@ -60,8 +55,6 @@ struct SubmitInfo {
   /// Timeout at dequeue, and submissions whose estimated queue wait already
   /// exceeds it are shed with ResourceExhausted.
   int64_t deadline_micros = 0;
-  /// Estimated result bytes, charged against `max_inflight_bytes`.
-  size_t estimated_bytes = 0;
   /// Optional caller-owned cancellation flag: checked at dequeue so a query
   /// cancelled while queued is dropped without executing.
   const std::atomic<bool>* cancel = nullptr;
@@ -90,7 +83,6 @@ struct SchedulerStats {
   uint64_t dropped_cancelled = 0;   ///< cancelled while queued.
   size_t queue_depth = 0;
   size_t inflight_queries = 0;
-  size_t inflight_bytes = 0;
   /// Queue-wait distribution over a sliding window of recent dispatches.
   int64_t queue_wait_p50_micros = 0;
   int64_t queue_wait_p90_micros = 0;
@@ -211,7 +203,6 @@ class QueryScheduler {
       NIMBLE_GUARDED_BY(mutex_);
   size_t queue_depth_ NIMBLE_GUARDED_BY(mutex_) = 0;
   size_t inflight_queries_ NIMBLE_GUARDED_BY(mutex_) = 0;
-  size_t inflight_bytes_ NIMBLE_GUARDED_BY(mutex_) = 0;
   /// EWMA of observed execution time, the queue-wait estimator's input.
   double avg_service_micros_ NIMBLE_GUARDED_BY(mutex_) = 0;
   /// Sliding window of recent queue waits for the percentile gauges.

@@ -88,6 +88,19 @@ class Value {
   Rep rep_;
 };
 
+/// Hash and equality for a Value used as a grouping or dedup key: the type
+/// plus Compare(), so 3 and 3.0 are different keys while -0.0 and 0.0 are
+/// one. Keys compare values, never ToString() text, which rounds doubles
+/// to 12 significant digits for display.
+struct ValueKeyHash {
+  size_t operator()(const Value& v) const { return v.Hash(); }
+};
+struct ValueKeyEqual {
+  bool operator()(const Value& a, const Value& b) const {
+    return a.type() == b.type() && a.Compare(b) == 0;
+  }
+};
+
 }  // namespace nimble
 
 #endif  // NIMBLE_XML_VALUE_H_

@@ -12,35 +12,36 @@ namespace algebra {
 namespace {
 
 // Helper: parse a one-pattern query and match its pattern against a doc.
-std::pair<TupleSchema, std::vector<Tuple>> Match(const std::string& pattern_q,
-                                                 const std::string& xml) {
+std::pair<TupleSchema, TupleBatch> Match(const std::string& pattern_q,
+                                         const std::string& xml) {
   Result<xmlql::Query> q = xmlql::ParseQuery(pattern_q);
   EXPECT_TRUE(q.ok()) << q.status().ToString();
   Result<NodePtr> doc = ParseXml(xml);
   EXPECT_TRUE(doc.ok()) << doc.status().ToString();
   TupleSchema schema = SchemaForPattern(q->patterns[0].root);
-  Result<std::vector<Tuple>> tuples =
-      MatchPattern(q->patterns[0].root, *doc, schema);
-  EXPECT_TRUE(tuples.ok()) << tuples.status().ToString();
-  return {schema, std::move(*tuples)};
+  Result<TupleBatch> rows = MatchPattern(q->patterns[0].root, *doc, schema);
+  EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+  return {schema, std::move(*rows)};
 }
 
-MaterializedScan MakeScan(std::vector<std::string> vars,
-                          std::vector<std::vector<Value>> rows) {
-  TupleSchema schema(std::move(vars));
-  std::vector<Tuple> tuples;
+/// A batch holding `rows` (each one value per column).
+TupleBatch MakeBatch(size_t num_slots, std::vector<std::vector<Value>> rows) {
+  TupleBatch batch(num_slots);
   for (auto& row : rows) {
-    Tuple t;
-    for (Value& v : row) t.emplace_back(Binding{std::move(v)});
-    tuples.push_back(std::move(t));
+    for (size_t slot = 0; slot < num_slots; ++slot) {
+      batch.MutableColumn(slot).emplace_back(std::move(row[slot]));
+    }
   }
-  return MaterializedScan(std::move(schema), std::move(tuples));
+  batch.SetNumRows(rows.size());
+  return batch;
 }
 
 std::unique_ptr<MaterializedScan> MakeScanPtr(
     std::vector<std::string> vars, std::vector<std::vector<Value>> rows) {
-  return std::make_unique<MaterializedScan>(
-      MakeScan(std::move(vars), std::move(rows)));
+  TupleSchema schema(std::move(vars));
+  TupleBatch data = MakeBatch(schema.size(), std::move(rows));
+  return std::make_unique<MaterializedScan>(std::move(schema),
+                                            std::move(data));
 }
 
 // ---- Binding / schema ---------------------------------------------------------
@@ -75,74 +76,119 @@ TEST(TupleSchemaTest, AddAndMerge) {
   EXPECT_EQ(merged.variables(), (std::vector<std::string>{"x", "y", "z"}));
 }
 
+// ---- TupleBatch -------------------------------------------------------------
+
+TEST(TupleBatchTest, AppendCopiesExactlyTheActiveRowsInOrder) {
+  TupleBatch source = MakeBatch(2, {{Value::Int(0), Value::String("a")},
+                                    {Value::Int(1), Value::String("b")},
+                                    {Value::Int(2), Value::String("c")},
+                                    {Value::Int(3), Value::String("d")},
+                                    {Value::Int(4), Value::String("e")}});
+  TupleBatch sliced = source.Slice(1, 3);  // rows 1, 2, 3
+  TupleBatch filtered = source;
+  xmlql::Condition odd;
+  odd.op = xmlql::Condition::Op::kNe;
+  odd.lhs.is_variable = true;
+  odd.lhs.variable = "k";
+  odd.rhs.literal = Value::Int(2);
+  Result<BoundCondition> bc =
+      BoundCondition::Bind(odd, TupleSchema({"k", "v"}));
+  ASSERT_TRUE(bc.ok());
+  ApplyConditions({*bc}, &filtered);  // rows 0, 1, 3, 4
+  TupleBatch reordered = source.Select({4, 0});
+
+  TupleBatch out(2);
+  out.Append(sliced);
+  out.Append(filtered);
+  out.Append(reordered);
+  out.Append(TupleBatch(2));  // empty: no rows
+  EXPECT_FALSE(out.has_selection());
+  ASSERT_EQ(out.num_rows(), 9u);
+  ASSERT_EQ(out.column(0).size(), 9u);
+  ASSERT_EQ(out.column(1).size(), 9u);
+  const std::vector<int64_t> keys = {1, 2, 3, 0, 1, 3, 4, 4, 0};
+  const std::string payloads = "bcdabdeea";
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(out.binding(0, i).AsScalar(), Value::Int(keys[i])) << i;
+    EXPECT_EQ(out.binding(1, i).AsScalar(),
+              Value::String(std::string(1, payloads[i])))
+        << i;
+  }
+  // The views still read the unchanged source columns.
+  EXPECT_EQ(sliced.size(), 3u);
+  EXPECT_EQ(filtered.size(), 4u);
+  EXPECT_EQ(source.size(), 5u);
+}
+
 // ---- Pattern matching ----------------------------------------------------------
 
 TEST(PatternMatchTest, FlatRecords) {
-  auto [schema, tuples] = Match(
+  auto [schema, rows] = Match(
       "WHERE <t><r><a>$a</a><b>$b</b></r></t> IN \"s:t\" CONSTRUCT <o>$a</o>",
       "<t><r><a>1</a><b>x</b></r><r><a>2</a><b>y</b></r></t>");
-  ASSERT_EQ(tuples.size(), 2u);
-  EXPECT_EQ(tuples[0][*schema.SlotOf("a")].AsScalar(), Value::Int(1));
-  EXPECT_EQ(tuples[1][*schema.SlotOf("b")].AsScalar(), Value::String("y"));
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows.binding(*schema.SlotOf("a"), 0).AsScalar(), Value::Int(1));
+  EXPECT_EQ(rows.binding(*schema.SlotOf("b"), 1).AsScalar(),
+            Value::String("y"));
 }
 
 TEST(PatternMatchTest, MissingRequiredChildDropsRecord) {
-  auto [schema, tuples] = Match(
+  auto [schema, rows] = Match(
       "WHERE <t><r><a>$a</a><b>$b</b></r></t> IN \"s:t\" CONSTRUCT <o>$a</o>",
       "<t><r><a>1</a></r><r><a>2</a><b>y</b></r></t>");
-  ASSERT_EQ(tuples.size(), 1u);
-  EXPECT_EQ(tuples[0][*schema.SlotOf("a")].AsScalar(), Value::Int(2));
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows.binding(*schema.SlotOf("a"), 0).AsScalar(), Value::Int(2));
 }
 
 TEST(PatternMatchTest, MultipleChildrenCartesian) {
-  auto [schema, tuples] = Match(
+  auto [schema, rows] = Match(
       "WHERE <o><item><sku>$s</sku></item><item><sku>$t</sku></item></o> "
       "IN \"s:o\" CONSTRUCT <x>$s</x>",
       "<o><item><sku>a</sku></item><item><sku>b</sku></item></o>");
   // 2 choices for first item pattern × 2 for second = 4 combinations.
-  EXPECT_EQ(tuples.size(), 4u);
+  EXPECT_EQ(rows.size(), 4u);
 }
 
 TEST(PatternMatchTest, RepeatedVariableUnifies) {
-  auto [schema, tuples] = Match(
+  auto [schema, rows] = Match(
       "WHERE <d><p><a>$x</a></p><q><b>$x</b></q></d> IN \"s:d\" "
       "CONSTRUCT <o>$x</o>",
       "<d><p><a>1</a></p><p><a>2</a></p><q><b>2</b></q><q><b>3</b></q></d>");
   // Only $x=2 appears on both sides.
-  ASSERT_EQ(tuples.size(), 1u);
-  EXPECT_EQ(tuples[0][*schema.SlotOf("x")].AsScalar(), Value::Int(2));
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows.binding(*schema.SlotOf("x"), 0).AsScalar(), Value::Int(2));
 }
 
 TEST(PatternMatchTest, AttributeLiteralConstraint) {
-  auto [schema, tuples] = Match(
+  auto [schema, rows] = Match(
       "WHERE <t><r k=\"keep\"><v>$v</v></r></t> IN \"s:t\" CONSTRUCT <o>$v</o>",
       "<t><r k=\"keep\"><v>1</v></r><r k=\"drop\"><v>2</v></r>"
       "<r><v>3</v></r></t>");
-  ASSERT_EQ(tuples.size(), 1u);
-  EXPECT_EQ(tuples[0][0].AsScalar(), Value::Int(1));
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows.binding(0, 0).AsScalar(), Value::Int(1));
 }
 
 TEST(PatternMatchTest, DescendantRootSearchesAnywhere) {
-  auto [schema, tuples] = Match(
+  auto [schema, rows] = Match(
       "WHERE <//leaf><v>$v</v></leaf> IN \"s:t\" CONSTRUCT <o>$v</o>",
       "<t><mid><leaf><v>1</v></leaf></mid><leaf><v>2</v></leaf></t>");
-  EXPECT_EQ(tuples.size(), 2u);
+  EXPECT_EQ(rows.size(), 2u);
 }
 
 TEST(PatternMatchTest, RootMismatchYieldsNothing) {
-  auto [schema, tuples] = Match(
+  auto [schema, rows] = Match(
       "WHERE <nope><r><v>$v</v></r></nope> IN \"s:t\" CONSTRUCT <o>$v</o>",
       "<t><r><v>1</v></r></t>");
-  EXPECT_TRUE(tuples.empty());
+  EXPECT_TRUE(rows.empty());
 }
 
 TEST(PatternMatchTest, ElementAsBindsNode) {
-  auto [schema, tuples] = Match(
+  auto [schema, rows] = Match(
       "WHERE <t><r ELEMENT_AS $e><v>$v</v></r></t> IN \"s:t\" "
       "CONSTRUCT <o>$v</o>",
       "<t><r><v>7</v><extra>z</extra></r></t>");
-  ASSERT_EQ(tuples.size(), 1u);
-  const Binding& e = tuples[0][*schema.SlotOf("e")];
+  ASSERT_EQ(rows.size(), 1u);
+  const Binding& e = rows.binding(*schema.SlotOf("e"), 0);
   ASSERT_TRUE(e.is_node());
   EXPECT_EQ(e.node()->FindChild("extra")->ScalarValue(), Value::String("z"));
 }
@@ -151,7 +197,7 @@ TEST(PatternMatchTest, ElementAsBindsNode) {
 
 TEST(OperatorTest, MaterializedScanDrain) {
   auto scan = MakeScanPtr({"x"}, {{Value::Int(1)}, {Value::Int(2)}});
-  Result<std::vector<Tuple>> all = scan->Drain();
+  Result<TupleBatch> all = scan->Drain();
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all->size(), 2u);
 }
@@ -167,9 +213,13 @@ TEST(OperatorTest, FilterKeepsPassing) {
   Result<BoundCondition> bc = BoundCondition::Bind(cond, scan->schema());
   ASSERT_TRUE(bc.ok());
   Filter filter(std::move(scan), {*bc});
-  Result<std::vector<Tuple>> out = filter.Drain();
+  Result<TupleBatch> out = filter.Drain();
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->size(), 2u);
+  // Drain compacts the filtered views into one batch with no selection.
+  EXPECT_FALSE(out->has_selection());
+  ASSERT_EQ(out->num_rows(), 2u);
+  EXPECT_EQ(out->binding(0, 0).AsScalar(), Value::Int(5));
+  EXPECT_EQ(out->binding(0, 1).AsScalar(), Value::Int(9));
 }
 
 TEST(OperatorTest, HashJoinOnSharedVariable) {
@@ -184,7 +234,7 @@ TEST(OperatorTest, HashJoinOnSharedVariable) {
   EXPECT_EQ(join.join_variables(), (std::vector<std::string>{"id"}));
   EXPECT_EQ(join.schema().variables(),
             (std::vector<std::string>{"id", "name", "total"}));
-  Result<std::vector<Tuple>> out = join.Drain();
+  Result<TupleBatch> out = join.Drain();
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->size(), 3u);  // 1→10, 1→20, 3→30
 }
@@ -193,7 +243,7 @@ TEST(OperatorTest, HashJoinNullNeverJoins) {
   auto left = MakeScanPtr({"k"}, {{Value::Null()}, {Value::Int(1)}});
   auto right = MakeScanPtr({"k"}, {{Value::Null()}, {Value::Int(1)}});
   HashJoin join(std::move(left), std::move(right));
-  Result<std::vector<Tuple>> out = join.Drain();
+  Result<TupleBatch> out = join.Drain();
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->size(), 1u);
 }
@@ -212,7 +262,7 @@ TEST(OperatorTest, NestedLoopJoinCartesianWithCondition) {
   Result<BoundCondition> bc = BoundCondition::Bind(cond, joined);
   ASSERT_TRUE(bc.ok());
   NestedLoopJoin join(std::move(left), std::move(right), {*bc});
-  Result<std::vector<Tuple>> out = join.Drain();
+  Result<TupleBatch> out = join.Drain();
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->size(), 2u);  // (1,2), (1,4)
 }
@@ -223,18 +273,18 @@ TEST(OperatorTest, SortStableMultiKey) {
       {{Value::String("b"), Value::Int(1)}, {Value::String("a"), Value::Int(2)},
        {Value::String("a"), Value::Int(1)}, {Value::String("b"), Value::Int(2)}});
   Sort sort(std::move(scan), {{0, false}, {1, true}});
-  Result<std::vector<Tuple>> out = sort.Drain();
+  Result<TupleBatch> out = sort.Drain();
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ((*out)[0][0].AsScalar(), Value::String("a"));
-  EXPECT_EQ((*out)[0][1].AsScalar(), Value::Int(2));
-  EXPECT_EQ((*out)[3][1].AsScalar(), Value::Int(1));
+  EXPECT_EQ(out->binding(0, 0).AsScalar(), Value::String("a"));
+  EXPECT_EQ(out->binding(1, 0).AsScalar(), Value::Int(2));
+  EXPECT_EQ(out->binding(1, 3).AsScalar(), Value::Int(1));
 }
 
 TEST(OperatorTest, LimitCutsOff) {
   auto scan =
       MakeScanPtr({"x"}, {{Value::Int(1)}, {Value::Int(2)}, {Value::Int(3)}});
   Limit limit(std::move(scan), 2);
-  Result<std::vector<Tuple>> out = limit.Drain();
+  Result<TupleBatch> out = limit.Drain();
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->size(), 2u);
 }
@@ -249,25 +299,51 @@ TEST(OperatorTest, HashAggregateGrouped) {
                     {{HashAggregate::Fn::kCount, "", "n"},
                      {HashAggregate::Fn::kSum, "amount", "total"},
                      {HashAggregate::Fn::kMax, "amount", "biggest"}});
-  Result<std::vector<Tuple>> out = agg.Drain();
+  Result<TupleBatch> out = agg.Drain();
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out->size(), 2u);
   const TupleSchema& schema = agg.schema();
-  EXPECT_EQ((*out)[0][*schema.SlotOf("city")].AsScalar(),
+  EXPECT_EQ(out->binding(*schema.SlotOf("city"), 0).AsScalar(),
             Value::String("sea"));
-  EXPECT_EQ((*out)[0][*schema.SlotOf("n")].AsScalar(), Value::Int(2));
-  EXPECT_EQ((*out)[0][*schema.SlotOf("total")].AsScalar(), Value::Double(30));
-  EXPECT_EQ((*out)[0][*schema.SlotOf("biggest")].AsScalar(), Value::Int(20));
+  EXPECT_EQ(out->binding(*schema.SlotOf("n"), 0).AsScalar(), Value::Int(2));
+  EXPECT_EQ(out->binding(*schema.SlotOf("total"), 0).AsScalar(),
+            Value::Double(30));
+  EXPECT_EQ(out->binding(*schema.SlotOf("biggest"), 0).AsScalar(),
+            Value::Int(20));
 }
 
 TEST(OperatorTest, HashAggregateGlobalGroup) {
   auto scan = MakeScanPtr({"v"}, {{Value::Int(4)}, {Value::Int(6)}});
   HashAggregate agg(std::move(scan), {},
                     {{HashAggregate::Fn::kAvg, "v", "mean"}});
-  Result<std::vector<Tuple>> out = agg.Drain();
+  Result<TupleBatch> out = agg.Drain();
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out->size(), 1u);
-  EXPECT_EQ((*out)[0][0].AsScalar(), Value::Double(5.0));
+  EXPECT_EQ(out->binding(0, 0).AsScalar(), Value::Double(5.0));
+}
+
+TEST(OperatorTest, HashAggregateKeysOnValuesNotText) {
+  // 1700000000.123 and 1700000000.124 print alike at 12 significant
+  // digits but are two groups; 3 and 3.0 stay apart by type; -0.0 and 0.0
+  // compare equal and are one group. Groups keep first-appearance order.
+  auto scan = MakeScanPtr({"t"}, {{Value::Double(1700000000.123)},
+                                  {Value::Double(1700000000.124)},
+                                  {Value::Int(3)},
+                                  {Value::Double(3.0)},
+                                  {Value::Double(-0.0)},
+                                  {Value::Double(0.0)},
+                                  {Value::Double(1700000000.123)}});
+  HashAggregate agg(std::move(scan), {"t"},
+                    {{HashAggregate::Fn::kCount, "", "n"}});
+  Result<TupleBatch> out = agg.Drain();
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out->size(), 5u);
+  const std::vector<int64_t> counts = {2, 1, 1, 1, 2};
+  for (size_t g = 0; g < counts.size(); ++g) {
+    EXPECT_EQ(out->binding(1, g).AsScalar(), Value::Int(counts[g])) << g;
+  }
+  EXPECT_TRUE(out->binding(0, 2).AsScalar().is_int());
+  EXPECT_TRUE(out->binding(0, 3).AsScalar().is_double());
 }
 
 TEST(OperatorTest, DescribeRendersTree) {
@@ -309,15 +385,16 @@ TEST_P(JoinCommutativity, HashJoinResultSetIsOrderInsensitive) {
     right_rows.push_back({Value::Int((i * (seed + 3)) % 5), Value::Int(i)});
   }
   auto drain_sorted = [](Operator* op) {
-    Result<std::vector<Tuple>> out = op->Drain();
+    Result<TupleBatch> out = op->Drain();
     EXPECT_TRUE(out.ok());
     std::vector<std::string> rendered;
     std::vector<std::string> vars = op->schema().variables();
     std::sort(vars.begin(), vars.end());  // canonical variable order
-    for (const Tuple& tuple : *out) {
+    for (size_t i = 0; i < out->size(); ++i) {
       std::string s;
       for (const std::string& var : vars) {
-        s += var + "=" + tuple[*op->schema().SlotOf(var)].AsScalar().ToString() +
+        s += var + "=" +
+             out->binding(*op->schema().SlotOf(var), i).AsScalar().ToString() +
              ";";
       }
       rendered.push_back(s);

@@ -18,30 +18,31 @@ namespace {
 /// plan must produce the same rows in the same order regardless of
 /// (a) batch size — including the degenerate size 1, which exercises every
 /// operator's cross-batch resume state — and (b) whether the consumer
-/// drains batches via NextBatch() or rows via the thin Next() adapter.
+/// pulls batches via NextBatch() or takes one compacted batch from Drain().
 /// Divergence at any swept size is a vectorization bug by definition.
 
 constexpr size_t kBatchSizes[] = {1, 3, 1024};
 
 // ---- Hand-built plan shapes (the algebra_test menagerie) -----------------
 
-using algebra::Binding;
 using algebra::BoundCondition;
 using algebra::Operator;
-using algebra::Tuple;
+using algebra::TupleBatch;
 using algebra::TupleSchema;
 
 std::unique_ptr<algebra::MaterializedScan> MakeScanPtr(
-    std::vector<std::string> vars, std::vector<std::vector<Value>> rows) {
+    std::vector<std::string> vars,
+    const std::vector<std::vector<Value>>& rows) {
   TupleSchema schema(std::move(vars));
-  std::vector<Tuple> tuples;
-  for (auto& row : rows) {
-    Tuple t;
-    for (Value& v : row) t.emplace_back(Binding{std::move(v)});
-    tuples.push_back(std::move(t));
+  TupleBatch data(schema.size());
+  for (size_t slot = 0; slot < schema.size(); ++slot) {
+    for (const std::vector<Value>& row : rows) {
+      data.MutableColumn(slot).emplace_back(row[slot]);
+    }
   }
+  data.SetNumRows(rows.size());
   return std::make_unique<algebra::MaterializedScan>(std::move(schema),
-                                                     std::move(tuples));
+                                                     std::move(data));
 }
 
 xmlql::Condition MakeCondition(const std::string& lhs_var,
@@ -159,10 +160,13 @@ constexpr PlanShape kShapes[] = {
     {"aggregate", ShapeAggregate}, {"composite", ShapeComposite},
 };
 
-std::string RenderTuple(const TupleSchema& schema, const Tuple& tuple) {
+/// Renders active row `i` of `batch` as "var=value;" pairs.
+std::string RenderRow(const TupleSchema& schema, const TupleBatch& batch,
+                      size_t i) {
   std::string s;
-  for (size_t i = 0; i < tuple.size(); ++i) {
-    s += schema.variables()[i] + "=" + tuple[i].AsScalar().ToString() + ";";
+  for (size_t slot = 0; slot < batch.num_slots(); ++slot) {
+    s += schema.variables()[slot] + "=" +
+         batch.binding(slot, i).AsScalar().ToString() + ";";
   }
   return s;
 }
@@ -177,24 +181,23 @@ std::vector<std::string> DrainBatches(Operator* op) {
     if (!batch.ok() || !batch->has_value()) break;
     EXPECT_LE((*batch)->size(), op->batch_size());
     for (size_t i = 0; i < (*batch)->size(); ++i) {
-      out.push_back(RenderTuple(op->schema(), (*batch)->MaterializeTuple(i)));
+      out.push_back(RenderRow(op->schema(), **batch, i));
     }
   }
   op->Close();
   return out;
 }
 
-/// Drains `op` one row at a time through the Next() adapter.
-std::vector<std::string> DrainRows(Operator* op) {
+/// Drains `op` into one compacted batch via Drain(), rendering its rows.
+std::vector<std::string> DrainCompacted(Operator* op) {
   std::vector<std::string> out;
-  EXPECT_TRUE(op->Open().ok());
-  while (true) {
-    Result<std::optional<Tuple>> tuple = op->Next();
-    EXPECT_TRUE(tuple.ok()) << tuple.status().ToString();
-    if (!tuple.ok() || !tuple->has_value()) break;
-    out.push_back(RenderTuple(op->schema(), **tuple));
+  Result<TupleBatch> batch = op->Drain();
+  EXPECT_TRUE(batch.ok()) << batch.status().ToString();
+  if (!batch.ok()) return out;
+  EXPECT_FALSE(batch->has_selection());
+  for (size_t i = 0; i < batch->size(); ++i) {
+    out.push_back(RenderRow(op->schema(), *batch, i));
   }
-  op->Close();
   return out;
 }
 
@@ -213,11 +216,11 @@ TEST(BatchDifferentialTest, PlanShapesAgreeAcrossBatchSizesAndDrainModes) {
           << shape.name << " diverges at batch_size=" << batch_size
           << " (batch drain)";
 
-      std::unique_ptr<Operator> rowed = shape.make();
-      rowed->SetBatchSize(batch_size);
-      EXPECT_EQ(DrainRows(rowed.get()), reference)
+      std::unique_ptr<Operator> drained = shape.make();
+      drained->SetBatchSize(batch_size);
+      EXPECT_EQ(DrainCompacted(drained.get()), reference)
           << shape.name << " diverges at batch_size=" << batch_size
-          << " (row adapter)";
+          << " (Drain)";
     }
   }
 }

@@ -61,7 +61,7 @@ TEST(SqlGeneratorTest, SimpleProjection) {
   )");
   Fragmentation f = FragmentQuery(q);
   Result<SqlTranslation> t =
-      TranslateFragmentToSql(f.fragments[0], SqlCaps(), true);
+      TranslateFragmentToSql(f.fragments[0], SqlCaps());
   ASSERT_TRUE(t.ok()) << t.status().ToString();
   EXPECT_EQ(t->sql, "SELECT id, name FROM customers");
   EXPECT_EQ(t->variables, (std::vector<std::string>{"i", "n"}));
@@ -75,7 +75,7 @@ TEST(SqlGeneratorTest, PushesLocalPredicates) {
   )");
   Fragmentation f = FragmentQuery(q);
   Result<SqlTranslation> t =
-      TranslateFragmentToSql(f.fragments[0], SqlCaps(), true);
+      TranslateFragmentToSql(f.fragments[0], SqlCaps());
   ASSERT_TRUE(t.ok());
   EXPECT_EQ(t->pushed_conditions.size(), 3u);
   EXPECT_NE(t->sql.find("(bal > 100)"), std::string::npos);
@@ -89,8 +89,9 @@ TEST(SqlGeneratorTest, PushdownDisabledKeepsPredicatesLocal) {
     CONSTRUCT <o>$i</o>
   )");
   Fragmentation f = FragmentQuery(q);
-  Result<SqlTranslation> t =
-      TranslateFragmentToSql(f.fragments[0], SqlCaps(), false);
+  connector::SourceCapabilities caps = SqlCaps();
+  caps.supports_predicates = false;
+  Result<SqlTranslation> t = TranslateFragmentToSql(f.fragments[0], caps);
   ASSERT_TRUE(t.ok());
   EXPECT_TRUE(t->pushed_conditions.empty());
   EXPECT_EQ(t->sql, "SELECT id FROM c");
@@ -103,7 +104,7 @@ TEST(SqlGeneratorTest, LiteralFieldBecomesEquality) {
   )");
   Fragmentation f = FragmentQuery(q);
   Result<SqlTranslation> t =
-      TranslateFragmentToSql(f.fragments[0], SqlCaps(), true);
+      TranslateFragmentToSql(f.fragments[0], SqlCaps());
   ASSERT_TRUE(t.ok());
   EXPECT_NE(t->sql.find("(status = 'open')"), std::string::npos);
 }
@@ -115,7 +116,7 @@ TEST(SqlGeneratorTest, RepeatedVariableBecomesColumnEquality) {
   )");
   Fragmentation f = FragmentQuery(q);
   Result<SqlTranslation> t =
-      TranslateFragmentToSql(f.fragments[0], SqlCaps(), true);
+      TranslateFragmentToSql(f.fragments[0], SqlCaps());
   ASSERT_TRUE(t.ok());
   EXPECT_NE(t->sql.find("(a = b)"), std::string::npos);
   // Only one output column for $x.
@@ -129,7 +130,7 @@ TEST(SqlGeneratorTest, LikePushdown) {
   )");
   Fragmentation f = FragmentQuery(q);
   Result<SqlTranslation> t =
-      TranslateFragmentToSql(f.fragments[0], SqlCaps(), true);
+      TranslateFragmentToSql(f.fragments[0], SqlCaps());
   ASSERT_TRUE(t.ok());
   EXPECT_NE(t->sql.find("LIKE 'A%'"), std::string::npos);
 }
@@ -143,11 +144,11 @@ TEST(SqlGeneratorTest, IndexAwareness) {
   connector::SourceCapabilities caps = SqlCaps();
   caps.indexed_columns.emplace_back("c", "id");
   Result<SqlTranslation> with_index =
-      TranslateFragmentToSql(f.fragments[0], caps, true);
+      TranslateFragmentToSql(f.fragments[0], caps);
   ASSERT_TRUE(with_index.ok());
   EXPECT_TRUE(with_index->predicate_hits_index);
   Result<SqlTranslation> without_index =
-      TranslateFragmentToSql(f.fragments[0], SqlCaps(), true);
+      TranslateFragmentToSql(f.fragments[0], SqlCaps());
   ASSERT_TRUE(without_index.ok());
   EXPECT_FALSE(without_index->predicate_hits_index);
 }
@@ -160,7 +161,7 @@ TEST(SqlGeneratorTest, StringLiteralsQuoted) {
       "$n = \"O'Brien\" CONSTRUCT <o>$n</o>");
   Fragmentation f = FragmentQuery(q);
   Result<SqlTranslation> t =
-      TranslateFragmentToSql(f.fragments[0], SqlCaps(), true);
+      TranslateFragmentToSql(f.fragments[0], SqlCaps());
   ASSERT_TRUE(t.ok());
   EXPECT_NE(t->sql.find("(name = 'O''Brien')"), std::string::npos);
 }
@@ -173,7 +174,7 @@ TEST_P(NotTableShaped, FallsBackToFetch) {
   xmlql::Query q = MustParse(GetParam());
   Fragmentation f = FragmentQuery(q);
   Result<SqlTranslation> t =
-      TranslateFragmentToSql(f.fragments[0], SqlCaps(), true);
+      TranslateFragmentToSql(f.fragments[0], SqlCaps());
   EXPECT_FALSE(t.ok());
   EXPECT_EQ(t.status().code(), StatusCode::kUnsupported);
 }
@@ -203,7 +204,7 @@ TEST(SqlGeneratorTest, NonSqlSourceUnsupported) {
       "WHERE <c><row><v>$v</v></row></c> IN \"s:c\" CONSTRUCT <o>$v</o>");
   Fragmentation f = FragmentQuery(q);
   connector::SourceCapabilities caps;  // no SQL
-  EXPECT_EQ(TranslateFragmentToSql(f.fragments[0], caps, true).status().code(),
+  EXPECT_EQ(TranslateFragmentToSql(f.fragments[0], caps).status().code(),
             StatusCode::kUnsupported);
 }
 

@@ -296,24 +296,27 @@ TEST_F(ConcurrencyTest, CancelledQueryReturnsCancelled) {
   EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
 }
 
+/// A one-column batch holding the ints 0 .. rows-1.
+algebra::TupleBatch IntColumn(int rows) {
+  algebra::TupleBatch batch(1);
+  for (int i = 0; i < rows; ++i) {
+    batch.MutableColumn(0).emplace_back(Value::Int(i));
+  }
+  batch.SetNumRows(static_cast<size_t>(rows));
+  return batch;
+}
+
 // An operator tree stops draining mid-stream when its cancel probe trips:
 // the NL006 contract at runtime. The probe counts its invocations, proving
 // the operators poll while producing batches, not just at Open().
 TEST(OperatorCancellationTest, ProbeStopsDrainMidStream) {
-  algebra::TupleSchema schema({"x"});
-  std::vector<algebra::Tuple> rows;
-  for (int i = 0; i < 1000; ++i) {
-    algebra::Tuple t;
-    t.emplace_back(algebra::Binding{Value::Int(i)});
-    rows.push_back(std::move(t));
-  }
-  algebra::MaterializedScan scan(std::move(schema), std::move(rows));
+  algebra::MaterializedScan scan(algebra::TupleSchema({"x"}), IntColumn(1000));
   scan.SetBatchSize(16);  // many DoNextBatch calls across the drain
   std::atomic<int> polls{0};
   scan.SetCancelProbe([&polls]() -> Status {
     return ++polls >= 5 ? Status::Cancelled("probe tripped") : Status::OK();
   });
-  Result<std::vector<algebra::Tuple>> out = scan.Drain();
+  Result<algebra::TupleBatch> out = scan.Drain();
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kCancelled);
   EXPECT_GE(polls.load(), 5);  // cancelled mid-stream, not up front
@@ -322,21 +325,14 @@ TEST(OperatorCancellationTest, ProbeStopsDrainMidStream) {
 // SetCancelProbe installs recursively: a probe handed to the root reaches
 // every child, so a cancelled query stops wherever it happens to be.
 TEST(OperatorCancellationTest, ProbePropagatesThroughTheTree) {
-  algebra::TupleSchema schema({"x"});
-  std::vector<algebra::Tuple> rows;
-  for (int i = 0; i < 100; ++i) {
-    algebra::Tuple t;
-    t.emplace_back(algebra::Binding{Value::Int(i)});
-    rows.push_back(std::move(t));
-  }
-  auto scan = std::make_unique<algebra::MaterializedScan>(std::move(schema),
-                                                          std::move(rows));
+  auto scan = std::make_unique<algebra::MaterializedScan>(
+      algebra::TupleSchema({"x"}), IntColumn(100));
   algebra::MaterializedScan* scan_view = scan.get();
   algebra::Limit limit(std::move(scan), 50);
   limit.SetCancelProbe(
       [] { return Status::Cancelled("cancelled before any batch"); });
   EXPECT_TRUE(static_cast<algebra::Operator*>(scan_view) != nullptr);
-  Result<std::vector<algebra::Tuple>> out = limit.Drain();
+  Result<algebra::TupleBatch> out = limit.Drain();
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kCancelled);
 }

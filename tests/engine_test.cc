@@ -72,11 +72,20 @@ class EngineTest : public ::testing::Test {
     org_conn->MapCollection("staff", "/corp");
     Must(catalog_->RegisterSource(std::move(org_conn)));
 
-    // The full static-analysis pass runs on every query in this suite,
-    // regardless of build type (NDEBUG defaults it off).
+    Rebuild(BaseOptions());
+  }
+
+  /// The suite's configuration: the full static-analysis pass runs on every
+  /// query, regardless of build type (NDEBUG defaults it off).
+  static EngineOptions BaseOptions() {
     EngineOptions opts;
     opts.verify_plans = true;
-    engine_ = std::make_unique<IntegrationEngine>(catalog_.get(), opts);
+    return opts;
+  }
+
+  /// Replaces the engine with a new one over the same catalog.
+  void Rebuild(const EngineOptions& options) {
+    engine_ = std::make_unique<IntegrationEngine>(catalog_.get(), options);
   }
 
   void Must(const Status& s) { ASSERT_TRUE(s.ok()) << s.ToString(); }
@@ -125,9 +134,9 @@ TEST_F(EngineTest, PushdownUsedForRelationalSource) {
 }
 
 TEST_F(EngineTest, PushdownDisabledShipsWholeTable) {
-  EngineOptions opts;
+  EngineOptions opts = BaseOptions();
   opts.enable_pushdown = false;
-  engine_->set_options(opts);
+  Rebuild(opts);
   QueryResult qr = Run(kGoldQuery);
   EXPECT_EQ(qr.report.fragments_pushed_down, 0u);
   EXPECT_EQ(qr.report.fragments_fetched, 1u);
@@ -317,9 +326,9 @@ TEST_F(EngineTest, BindJoinShipsOnlyMatchingRows) {
   // Bind join: the non-SQL feed fragment is evaluated first; its distinct
   // SKU set is then pushed into the SQL orders fragment as an IN filter,
   // so only orders for catalogued SKUs cross the wire.
-  EngineOptions options;
+  EngineOptions options = BaseOptions();
   options.enable_bind_join = true;
-  engine_->set_options(options);
+  Rebuild(options);
   QueryResult with_bind = Run(R"(
     WHERE <products><product sku=$k><title>$p</title></product></products>
           IN "feed:products",
@@ -330,7 +339,7 @@ TEST_F(EngineTest, BindJoinShipsOnlyMatchingRows) {
   EXPECT_GT(with_bind.report.fragments_bind_joined, 0u);
 
   options.enable_bind_join = false;
-  engine_->set_options(options);
+  Rebuild(options);
   QueryResult without_bind = Run(R"(
     WHERE <products><product sku=$k><title>$p</title></product></products>
           IN "feed:products",
@@ -348,10 +357,10 @@ TEST_F(EngineTest, BindJoinShipsOnlyMatchingRows) {
 }
 
 TEST_F(EngineTest, BindJoinRespectsLimit) {
-  EngineOptions options;
+  EngineOptions options = BaseOptions();
   options.enable_bind_join = true;
   options.bind_join_limit = 1;  // the 3-product key set exceeds this
-  engine_->set_options(options);
+  Rebuild(options);
   QueryResult qr = Run(R"(
     WHERE <products><product sku=$k><title>$p</title></product></products>
           IN "feed:products",

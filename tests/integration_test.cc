@@ -30,6 +30,13 @@ class IntegrationTest : public ::testing::Test {
     // Only OptionEquivalence reads this table: a NULL-bearing column.
     Must(db_->Execute("CREATE TABLE notes (id INT, memo TEXT)"));
     Must(db_->Execute("INSERT INTO notes VALUES (1, 'a'), (2, NULL)"));
+    // Only OptionEquivalence and GroupByKeepsDoublesThatPrintAlike read
+    // this table: two epoch-millisecond doubles that print alike at 12
+    // significant digits, plus enough other values that the cost model
+    // keeps a bind join on $t.
+    Must(db_->Execute("CREATE TABLE events (id INT, t DOUBLE)"));
+    Must(db_->Execute("INSERT INTO events VALUES (1, 1700000000.123), "
+                      "(2, 1700000000.124), (3, 1.5), (4, 2.5), (5, 3.5)"));
 
     auto stock = std::make_unique<connector::CsvConnector>("wh");
     Must(stock->PutCsv("stock",
@@ -43,6 +50,10 @@ class IntegrationTest : public ::testing::Test {
         "<review sku=\"w-1\"><stars>4</stars></review>"
         "<review sku=\"s-1\"><stars>2</stars></review>"
         "</reviews>"));
+    Must(reviews->PutDocumentText(
+        "ticks",
+        "<ticks><tick><t>1700000000.123</t></tick>"
+        "<tick><t>1700000000.124</t></tick></ticks>"));
 
     catalog_ = std::make_unique<metadata::Catalog>();
     Must(catalog_->RegisterSource(
@@ -92,7 +103,8 @@ TEST_P(OptionEquivalence, AllOptionCombosAgree) {
         options.enable_pushdown = pushdown;
         options.enable_bind_join = bind;
         options.parallel_fetch = parallel;
-        engine_->set_options(options);
+        engine_ = std::make_unique<core::IntegrationEngine>(catalog_.get(),
+                                                            options);
         Result<core::QueryResult> result = engine_->ExecuteText(GetParam());
         ASSERT_TRUE(result.ok()) << result.status().ToString();
         std::string canonical = Canonical(*result->document);
@@ -144,7 +156,16 @@ INSTANTIATE_TEST_SUITE_P(
         // LIKE over a null operand is false on both sides of pushdown
         R"(WHERE <notes><row><id>$i</id><memo>$m</memo></row></notes>
            IN "shop:notes", $m LIKE '%'
-           CONSTRUCT <r>$i</r>)"));
+           CONSTRUCT <r>$i</r>)",
+        // a double literal needing 13 significant digits, pushed or not
+        R"(WHERE <events><row><id>$i</id><t>$t</t></row></events>
+           IN "shop:events", $t = 1700000000.123
+           CONSTRUCT <e>$i</e>)",
+        // XML x SQL join on such doubles, with and without bind-join keys
+        R"(WHERE <ticks><tick><t>$t</t></tick></ticks> IN "rev:ticks",
+           <events><row><id>$i</id><t>$t</t></row></events>
+           IN "shop:events"
+           CONSTRUCT <hit id=$i/>)"));
 
 TEST_F(IntegrationTest, LensOverMaterializedViewStaysFresh) {
   Must(catalog_->DefineView("tool_stock", R"(
@@ -186,15 +207,14 @@ TEST_F(IntegrationTest, RetriesMaskTransientOutages) {
 
   const char* query =
       "WHERE <d><r><v>$v</v></r></d> IN \"flaky:d\" CONSTRUCT <o>$v</o>";
-  core::EngineOptions no_retry;
-  engine_->set_options(no_retry);
-  size_t failures_without = 0;
+  size_t failures_without = 0;  // the fixture engine: no retries
   for (int i = 0; i < 100; ++i) {
     if (!engine_->ExecuteText(query).ok()) ++failures_without;
   }
   core::EngineOptions with_retry;
   with_retry.fetch_retries = 3;
-  engine_->set_options(with_retry);
+  engine_ = std::make_unique<core::IntegrationEngine>(catalog_.get(),
+                                                      with_retry);
   size_t failures_with = 0;
   for (int i = 0; i < 100; ++i) {
     if (!engine_->ExecuteText(query).ok()) ++failures_with;
@@ -218,6 +238,22 @@ TEST_F(IntegrationTest, DocumentOrderPreservedThroughTheStack) {
   EXPECT_EQ(children[0]->GetAttribute("stars"), Value::Int(5));
   EXPECT_EQ(children[1]->GetAttribute("stars"), Value::Int(4));
   EXPECT_EQ(children[2]->GetAttribute("stars"), Value::Int(2));
+}
+
+TEST_F(IntegrationTest, GroupByKeepsDoublesThatPrintAlike) {
+  // 1700000000.123 and 1700000000.124 both print as 1700000000.12, but
+  // GROUP BY keys on the values: two groups of one.
+  Result<core::QueryResult> result = engine_->ExecuteText(R"(
+    WHERE <events><row><id>$i</id><t>$t</t></row></events> IN "shop:events",
+          $t > 1000
+    CONSTRUCT <g><n>count($i)</n></g>
+    GROUP BY $t
+  )");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->report.result_count, 2u);
+  for (const NodePtr& group : result->document->children()) {
+    EXPECT_EQ(group->FindChild("n")->ScalarValue(), Value::Int(1));
+  }
 }
 
 }  // namespace

@@ -117,13 +117,13 @@ TEST(CostModelTest, ScatterGatherCostDividesScanAcrossShards) {
 // ---- Verifier invariant I13 -------------------------------------------------
 
 std::unique_ptr<algebra::MaterializedScan> MakeScan(size_t rows) {
-  algebra::TupleSchema schema({"x"});
-  std::vector<algebra::Tuple> tuples;
+  algebra::TupleBatch data(1);
   for (size_t i = 0; i < rows; ++i) {
-    tuples.push_back({algebra::Binding{Value::Int(static_cast<int64_t>(i))}});
+    data.MutableColumn(0).emplace_back(Value::Int(static_cast<int64_t>(i)));
   }
+  data.SetNumRows(rows);
   return std::make_unique<algebra::MaterializedScan>(
-      std::move(schema), std::move(tuples), "test");
+      algebra::TupleSchema({"x"}), std::move(data), "test");
 }
 
 TEST(VerifierI13Test, AnnotationsMustBeAllOrNone) {

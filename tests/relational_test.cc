@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "relational/database.h"
 #include "relational/executor.h"
+#include "relational/sql_ast.h"
 #include "relational/sql_parser.h"
 
 namespace nimble {
@@ -429,6 +432,21 @@ INSTANTIATE_TEST_SUITE_P(
         "SELECT t.a, u.b FROM t JOIN u ON t.a = u.a WHERE t.a LIKE 'x%'",
         "SELECT DISTINCT a FROM t WHERE a IS NOT NULL",
         "SELECT a + b * 2 FROM t WHERE NOT (a = 1 OR b = 2)"));
+
+// A double literal prints with the fewest significant digits, from 12 up
+// to 17, that parse back to the same double: pushed predicates and
+// bind-join IN lists select exactly the value they came from.
+TEST(SqlQuoteTest, DoublesParseBackToTheSameValue) {
+  EXPECT_EQ(SqlQuote(Value::Double(25.0)), "25");
+  EXPECT_EQ(SqlQuote(Value::Double(3.5)), "3.5");
+  EXPECT_EQ(SqlQuote(Value::Double(1700000000.123)), "1700000000.123");
+  EXPECT_EQ(SqlQuote(Value::Double(0.1 + 0.2)), "0.30000000000000004");
+  for (double d : {1700000000.123, 1700000000.124, 0.1 + 0.2, 1e-300,
+                   -2.5e17, 123456789.123456789}) {
+    const std::string text = SqlQuote(Value::Double(d));
+    EXPECT_EQ(std::strtod(text.c_str(), nullptr), d) << text;
+  }
+}
 
 TEST_F(RelationalTest, LeftOuterJoinPadsUnmatched) {
   ResultSet rs = Exec(

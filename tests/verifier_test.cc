@@ -16,16 +16,16 @@ namespace {
 std::unique_ptr<MaterializedScan> Scan(std::vector<std::string> variables,
                                        size_t rows = 2) {
   TupleSchema schema(variables);
-  std::vector<Tuple> tuples;
-  for (size_t r = 0; r < rows; ++r) {
-    Tuple tuple;
-    for (size_t c = 0; c < schema.size(); ++c) {
-      tuple.emplace_back(Binding{Value::Int(static_cast<int64_t>(r + c))});
+  TupleBatch data(schema.size());
+  for (size_t c = 0; c < schema.size(); ++c) {
+    for (size_t r = 0; r < rows; ++r) {
+      data.MutableColumn(c).emplace_back(
+          Value::Int(static_cast<int64_t>(r + c)));
     }
-    tuples.push_back(std::move(tuple));
   }
-  return std::make_unique<MaterializedScan>(std::move(schema),
-                                            std::move(tuples), "test");
+  data.SetNumRows(rows);
+  return std::make_unique<MaterializedScan>(std::move(schema), std::move(data),
+                                            "test");
 }
 
 void ExpectViolation(const Status& s, const std::string& needle) {
@@ -64,7 +64,7 @@ class LyingJoin : public HashJoin {
 class ExtraChildScan : public MaterializedScan {
  public:
   ExtraChildScan(const Operator* bogus)
-      : MaterializedScan(TupleSchema({"a"}), std::vector<Tuple>{}, "bad") {
+      : MaterializedScan(TupleSchema({"a"}), TupleBatch(1), "bad") {
     children_views_.push_back(bogus);
   }
 };
@@ -95,28 +95,32 @@ TEST(VerifierTest, ValidPlanPasses) {
 // ---- I1: schema well-formedness ------------------------------------------
 
 TEST(VerifierTest, I1_DuplicateSchemaVariable) {
-  MaterializedScan scan(TupleSchema({"a", "a"}), std::vector<Tuple>{}, "dup");
+  MaterializedScan scan(TupleSchema({"a", "a"}), TupleBatch(2), "dup");
   ExpectViolation(VerifyPlan(scan), "twice");
 }
 
 TEST(VerifierTest, I1_EmptySchemaVariableName) {
-  MaterializedScan scan(TupleSchema({"a", ""}), std::vector<Tuple>{}, "empty");
+  MaterializedScan scan(TupleSchema({"a", ""}), TupleBatch(2), "empty");
   ExpectViolation(VerifyPlan(scan), "empty variable name");
 }
 
 // ---- I2/I12: scan column-store well-formedness ---------------------------
 
 TEST(VerifierTest, I2_TupleArityMismatch) {
-  std::vector<Tuple> tuples;
-  tuples.push_back(Tuple{Binding{Value::Int(1)}});  // 1 binding, arity 2
-  MaterializedScan scan(TupleSchema({"a", "b"}), std::move(tuples), "short");
-  // The short tuple leaves column 1 ragged; the columnar check reports it.
+  // A row with 1 binding under arity 2 leaves column 1 ragged; the
+  // columnar check reports it.
+  TupleBatch data(2);
+  data.MutableColumn(0).emplace_back(Value::Int(1));
+  data.SetNumRows(1);
+  MaterializedScan scan(TupleSchema({"a", "b"}), std::move(data), "short");
   ExpectViolation(VerifyPlan(scan), "column 1 has 0 bindings");
 }
 
 TEST(VerifierTest, I12_SelectionIndexOutOfBounds) {
-  TupleBatch data = TupleBatch::FromTuples(
-      1, {Tuple{Binding{Value::Int(1)}}, Tuple{Binding{Value::Int(2)}}});
+  TupleBatch data(1);
+  data.MutableColumn(0).emplace_back(Value::Int(1));
+  data.MutableColumn(0).emplace_back(Value::Int(2));
+  data.SetNumRows(2);
   data.SetSelection({5});  // only 2 physical rows
   MaterializedScan scan(TupleSchema({"a"}), std::move(data), "oob");
   ExpectViolation(VerifyPlan(scan), "selection index 5");
