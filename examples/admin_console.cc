@@ -120,12 +120,16 @@ int main() {
       std::make_unique<connector::RelationalConnector>("local", &local)));
 
   // ---- Step 3: change detection ------------------------------------------------
-  NodePtr doc = legacy_raw->MutableDocument("accounts");
+  // Fetched documents are frozen snapshots: edit a copy, then replace.
+  Result<NodePtr> stored = legacy_raw->FetchCollection("accounts");
+  Check(stored);
+  NodePtr doc = (*stored)->Clone();
   NodePtr fresh = Node::Element("a");
   fresh->AddScalarChild("holder", Value::String("Eve Adams"));
   fresh->AddScalarChild("ref", Value::String("ACCT-0303"));
   fresh->AddScalarChild("region", Value::String("east"));
   doc->AddChild(std::move(fresh));
+  legacy_raw->PutDocument("accounts", std::move(doc));
   Result<bool> changed = job.OriginChanged();
   Check(changed);
   std::printf("\n== Step 3: origin changed? %s -> re-run loads %zu rows ==\n",

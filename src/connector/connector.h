@@ -94,7 +94,9 @@ class Connector {
   virtual std::vector<std::string> Collections() = 0;
 
   /// Fetches the entire collection as an XML tree whose children are the
-  /// records. The caller owns the returned tree (sources return clones).
+  /// records. The tree is a frozen snapshot (Node::Freeze), often the
+  /// source's stored tree itself, shared with concurrent queries: read it
+  /// freely, and Clone() it to edit.
   virtual Result<NodePtr> FetchCollection(const std::string& collection,
                                           const RequestContext& ctx) = 0;
   Result<NodePtr> FetchCollection(const std::string& collection) {

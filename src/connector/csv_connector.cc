@@ -59,6 +59,7 @@ Status CsvConnector::PutCsv(const std::string& collection_name,
     }
     root->AddChild(std::move(row));
   }
+  root->Freeze();
   WriterMutexLock lock(mutex_);
   collections_[collection_name] = std::move(root);
   ++version_;
@@ -78,7 +79,7 @@ std::vector<std::string> CsvConnector::Collections() {
 Result<NodePtr> CsvConnector::FetchCollection(const std::string& collection,
                                               const RequestContext& ctx) {
   NIMBLE_RETURN_IF_ERROR(Admit(ctx));
-  NodePtr clone;
+  NodePtr snapshot;
   {
     ReaderMutexLock lock(mutex_);
     auto it = collections_.find(collection);
@@ -86,13 +87,13 @@ Result<NodePtr> CsvConnector::FetchCollection(const std::string& collection,
       return Status::NotFound("source '" + name_ + "' has no collection '" +
                               collection + "'");
     }
-    clone = it->second->Clone();
+    snapshot = it->second;
   }
   FetchStats delta;
   delta.calls = 1;
-  delta.rows_shipped = clone->children().size();
+  delta.rows_shipped = snapshot->children().size();
   AddStats(ctx, delta);
-  return clone;
+  return snapshot;
 }
 
 }  // namespace connector

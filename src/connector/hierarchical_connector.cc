@@ -27,6 +27,7 @@ Result<NodePtr> HierarchicalConnector::FetchCollection(
     base_path = it->second;
   }
   NIMBLE_ASSIGN_OR_RETURN(NodePtr tree, store_->ExportXml(base_path));
+  tree->Freeze();
   FetchStats delta;
   delta.calls = 1;
   delta.rows_shipped = tree->SubtreeSize();

@@ -64,10 +64,13 @@ Result<NodePtr> RelationalConnector::FetchCollection(
       for (size_t c = 0; c < columns.size(); ++c) {
         record->AddScalarChild(columns[c].name, table->at(id, c));
       }
-      root->AddChild(std::move(record));
+      // Frozen while still in cache: the root's Freeze() below then stops
+      // at each record instead of walking the whole tree again.
+      root->AddChild(std::move(record))->Freeze();
       ++shipped;
     });
   }
+  root->Freeze();
   FetchStats delta;
   delta.calls = 1;
   delta.rows_shipped = shipped;

@@ -16,7 +16,7 @@ std::vector<std::string> XmlConnector::Collections() {
 Result<NodePtr> XmlConnector::FetchCollection(const std::string& collection,
                                               const RequestContext& ctx) {
   NIMBLE_RETURN_IF_ERROR(Admit(ctx));
-  NodePtr clone;
+  NodePtr snapshot;
   {
     ReaderMutexLock lock(doc_mutex_);
     auto it = documents_.find(collection);
@@ -24,16 +24,17 @@ Result<NodePtr> XmlConnector::FetchCollection(const std::string& collection,
       return Status::NotFound("source '" + name_ + "' has no document '" +
                               collection + "'");
     }
-    clone = it->second->Clone();
+    snapshot = it->second;
   }
   FetchStats delta;
   delta.calls = 1;
-  delta.rows_shipped = clone->children().size();
+  delta.rows_shipped = snapshot->children().size();
   AddStats(ctx, delta);
-  return clone;
+  return snapshot;
 }
 
 void XmlConnector::PutDocument(const std::string& doc_name, NodePtr document) {
+  document->Freeze();
   WriterMutexLock lock(doc_mutex_);
   documents_[doc_name] = std::move(document);
   ++version_;
@@ -51,14 +52,6 @@ bool XmlConnector::RemoveDocument(const std::string& doc_name) {
   if (documents_.erase(doc_name) == 0) return false;
   ++version_;
   return true;
-}
-
-NodePtr XmlConnector::MutableDocument(const std::string& doc_name) {
-  WriterMutexLock lock(doc_mutex_);
-  auto it = documents_.find(doc_name);
-  if (it == documents_.end()) return nullptr;
-  ++version_;
-  return it->second;
 }
 
 }  // namespace connector

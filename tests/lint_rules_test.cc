@@ -327,6 +327,41 @@ TEST(LintNL005, TaintDoesNotEscapeItsScope) {
   EXPECT_EQ(CountUnsuppressed(Analyze("src/foo/f.cc", src)), 0);
 }
 
+// Fetched trees are frozen snapshots (connector.h), whether held as a
+// Result or unwrapped by NIMBLE_ASSIGN_OR_RETURN.
+TEST(LintNL005, MutatingFetchedTreeFires) {
+  const std::string src = R"cc(
+    Status F(connector::Connector* source) {
+      Result<NodePtr> r = source->FetchCollection("c");
+      if (!r.ok()) return r.status();
+      (*r)->AddChild(Node::Element("x"));
+      NIMBLE_ASSIGN_OR_RETURN(NodePtr tree, source->FetchCollection("c"));
+      tree->SetAttribute("k", Value::Int(1));
+      return Status::OK();
+    }
+  )cc";
+  std::vector<Finding> findings = Analyze("src/foo/f.cc", src);
+  EXPECT_EQ(CountRule(findings, "NL005"), 2);
+}
+
+TEST(LintNL005, CloneOfFetchedTreeIsClean) {
+  const std::string src = R"cc(
+    Status F(connector::Connector* source) {
+      Result<NodePtr> r = source->FetchCollection("c");
+      if (!r.ok()) return r.status();
+      NodePtr copy = (*r)->Clone();
+      copy->AddChild(Node::Element("x"));
+      NIMBLE_ASSIGN_OR_RETURN(NodePtr tree, source->FetchCollection("c"));
+      tree = tree->Clone();
+      tree->AddChild(Node::Element("y"));
+      NIMBLE_ASSIGN_OR_RETURN(NodePtr built, BuildTree());
+      built->AddChild(Node::Element("z"));
+      return Status::OK();
+    }
+  )cc";
+  EXPECT_EQ(CountUnsuppressed(Analyze("src/foo/f.cc", src)), 0);
+}
+
 // ---------------------------------------------------------------------------
 // Suppression mechanisms
 // ---------------------------------------------------------------------------

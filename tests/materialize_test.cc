@@ -303,6 +303,26 @@ TEST_F(ViewStoreTest, MaterializedServeShipsNothing) {
   EXPECT_EQ(result->report.source_latency_micros, 0);
 }
 
+TEST_F(ViewStoreTest, ServesShareOneFrozenCopy) {
+  ASSERT_TRUE(store_->Materialize("people").ok());
+  Result<core::QueryResult> first = store_->Query("people");
+  Result<core::QueryResult> second = store_->Query("people");
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(first->document.get(), second->document.get());
+  EXPECT_TRUE(first->document->frozen());
+
+  // Copy-on-write: editing one serve leaves the local copy unchanged.
+  NodePtr edited = first->MutableDocument();
+  EXPECT_NE(edited.get(), second->document.get());
+  edited->AddChild(Node::Element("extra"));
+  Result<core::QueryResult> third = store_->Query("people");
+  ASSERT_TRUE(third.ok());
+  EXPECT_EQ(third->document.get(), second->document.get());
+  EXPECT_EQ(third->document->children().size(), 2u);
+  EXPECT_EQ(third->report.result_count, 2u);
+}
+
 TEST_F(ViewStoreTest, OnStaleRefreshPicksUpSourceChanges) {
   MaterializationPolicy policy;
   policy.refresh = MaterializationPolicy::Refresh::kOnStale;

@@ -29,9 +29,13 @@
 ///                              const, or carry an explicit
 ///                              `// nimble-lint: unguarded(<reason>)`.
 ///   NL005 frozen-mutation      no mutation of nodes obtained from
-///                              Freeze(), and no const_pointer_cast /
-///                              const_cast that strips a frozen
-///                              snapshot's constness, without Clone().
+///                              Freeze() or FetchCollection() (fetched
+///                              trees are frozen snapshots, whether held
+///                              as a Result or unwrapped by
+///                              NIMBLE_ASSIGN_OR_RETURN), and no
+///                              const_pointer_cast / const_cast that
+///                              strips a frozen snapshot's constness,
+///                              without Clone().
 ///   NL006 cancellation-responsiveness
 ///                              every loop in a responsiveness-checked
 ///                              function (Operator::DoOpen/DoNextBatch,

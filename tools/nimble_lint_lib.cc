@@ -1567,6 +1567,35 @@ void CheckFrozenMutation(const FileCtx& ctx, const std::vector<Tok>& t) {
   // Tainted expression text -> brace depth it was tainted at.
   std::map<std::string, int> tainted;
   int depth = 0;
+  // A handle is tainted together with its dereference: a fetched
+  // Result<NodePtr> `r` is mutated through `(*r)->`.
+  auto taint = [&](const std::string& name) {
+    tainted[name] = depth;
+    tainted["(*" + name + ")"] = depth;
+  };
+  auto untaint = [&](const std::string& name) {
+    tainted.erase(name);
+    tainted.erase("(*" + name + ")");
+  };
+  // What an initializer hands out: a frozen tree (Freeze(), a const-cast
+  // snapshot, or a FetchCollection result — fetched trees are frozen by
+  // the connector contract) unless a Clone() thaws it.
+  auto yields_frozen = [&](size_t begin, size_t end) {
+    bool saw_freeze = false;
+    bool saw_clone = false;
+    for (size_t j = begin; j < end && j < t.size(); ++j) {
+      if ((t[j].text == "Freeze" || t[j].text == "FetchCollection") &&
+          Is(t, j + 1, "(")) {
+        saw_freeze = true;
+      }
+      // A const-cast RHS is a frozen snapshot too: the cast site itself
+      // is reported (and typically suppressed at the documented seam),
+      // but mutations through the result must still flag.
+      if (t[j].text == "const_pointer_cast") saw_freeze = true;
+      if (t[j].text == "Clone" && Is(t, j + 1, "(")) saw_clone = true;
+    }
+    return saw_freeze && !saw_clone;
+  };
   for (size_t i = 0; i < t.size(); ++i) {
     const Tok& tok = t[i];
     if (tok.text == "{") {
@@ -1609,20 +1638,32 @@ void CheckFrozenMutation(const FileCtx& ctx, const std::vector<Tok>& t) {
       }
       std::string lhs = ReceiverBefore(t, i);
       if (lhs.empty()) continue;
-      bool saw_freeze = false;
-      bool saw_clone = false;
-      for (size_t j = i + 1; j < t.size() && t[j].text != ";"; ++j) {
-        if (t[j].text == "Freeze" && Is(t, j + 1, "(")) saw_freeze = true;
-        // A const-cast RHS is a frozen snapshot too: the cast site itself
-        // is reported (and typically suppressed at the documented seam),
-        // but mutations through the result must still flag.
-        if (t[j].text == "const_pointer_cast") saw_freeze = true;
-        if (t[j].text == "Clone" && Is(t, j + 1, "(")) saw_clone = true;
+      size_t end = i + 1;
+      while (end < t.size() && t[end].text != ";") ++end;
+      if (yields_frozen(i + 1, end)) {
+        taint(lhs);
+      } else {
+        untaint(lhs);
       }
-      if (saw_freeze && !saw_clone) {
-        tainted[lhs] = depth;
-      } else if (tainted.count(lhs) > 0) {
-        tainted.erase(lhs);
+      continue;
+    }
+    // The same through NIMBLE_ASSIGN_OR_RETURN(<decl or lvalue>, <expr>):
+    // the target is the name before the first top-level comma.
+    if (tok.text == "NIMBLE_ASSIGN_OR_RETURN" && Is(t, i + 1, "(")) {
+      size_t close = MatchForward(t, i + 1, "(", ")");
+      size_t comma = i + 2;
+      for (int nest = 0; comma < close; ++comma) {
+        const std::string& x = t[comma].text;
+        if (x == "(" || x == "[" || x == "{" || x == "<") ++nest;
+        if (x == ")" || x == "]" || x == "}" || x == ">") --nest;
+        if (x == "," && nest == 0) break;
+      }
+      if (comma < close && t[comma - 1].kind == TokKind::kIdent) {
+        if (yields_frozen(comma + 1, close)) {
+          taint(t[comma - 1].text);
+        } else {
+          untaint(t[comma - 1].text);
+        }
       }
       continue;
     }
