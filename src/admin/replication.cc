@@ -118,7 +118,9 @@ Result<ReplicationRunStats> ReplicationJob::Run() {
           "replica table '" + target_table_ +
           "' exists with a different schema; drop it first");
     }
-    existing->DeleteWhere([](const relational::Row&) { return true; });
+    std::vector<size_t> live;
+    existing->ForEachLiveRow([&](size_t id) { live.push_back(id); });
+    existing->DeleteRows(live);
     for (const cleaning::KeyedRecord& record : records) {
       relational::Row row;
       for (const relational::Column& col : schema.columns()) {

@@ -248,11 +248,9 @@ std::string Filter::label() const {
 
 HashJoin::HashJoin(std::unique_ptr<Operator> left,
                    std::unique_ptr<Operator> right, bool build_left)
-    : left_(std::move(left)), right_(std::move(right)),
-      build_left_(build_left) {
-  AddChild(left_.get());
-  AddChild(right_.get());
-  schema_ = left_->schema().Merge(right_->schema());
+    : HashJoin(std::move(left), std::move(right),
+               std::vector<std::pair<size_t, size_t>>{}) {
+  build_left_ = build_left;
   for (const std::string& var : left_->schema().variables()) {
     std::optional<size_t> right_slot = right_->schema().SlotOf(var);
     if (right_slot.has_value()) {
@@ -261,6 +259,19 @@ HashJoin::HashJoin(std::unique_ptr<Operator> left,
       right_key_slots_.push_back(*right_slot);
     }
   }
+}
+
+HashJoin::HashJoin(std::unique_ptr<Operator> left,
+                   std::unique_ptr<Operator> right,
+                   const std::vector<std::pair<size_t, size_t>>& key_slots)
+    : left_(std::move(left)), right_(std::move(right)) {
+  for (const auto& [left_slot, right_slot] : key_slots) {
+    left_key_slots_.push_back(left_slot);
+    right_key_slots_.push_back(right_slot);
+  }
+  AddChild(left_.get());
+  AddChild(right_.get());
+  schema_ = left_->schema().Merge(right_->schema());
   for (const std::string& var : right_->schema().variables()) {
     right_output_slots_.push_back(*schema_.SlotOf(var));
   }
@@ -365,10 +376,17 @@ void HashJoin::DoClose() {
 }
 
 std::string HashJoin::label() const {
+  // "$v" per shared variable, "$l=$r" per explicit pair; "?" marks a slot
+  // outside its child's schema (a plan the verifier rejects).
+  auto name = [](const Operator& child, size_t slot) {
+    const std::vector<std::string>& vars = child.schema().variables();
+    return slot < vars.size() ? vars[slot] : std::string("?");
+  };
   std::string vars;
-  for (size_t i = 0; i < join_variables_.size(); ++i) {
-    if (i > 0) vars += ",";
-    vars += "$" + join_variables_[i];
+  for (size_t i = 0; i < left_key_slots_.size(); ++i) {
+    const std::string l = name(*left_, left_key_slots_[i]);
+    const std::string r = name(*right_, right_key_slots_[i]);
+    vars += (i > 0 ? ",$" : "$") + l + (l == r ? "" : "=$" + r);
   }
   if (build_left_) return "HashJoin(" + vars + ", build=left)";
   return "HashJoin(" + vars + ")";
@@ -575,6 +593,8 @@ Status HashAggregate::DoOpen() {
   struct Accum {
     int64_t count = 0;
     double sum = 0;
+    int64_t int_sum = 0;    ///< exact sum while every input is an int.
+    bool int_exact = true;  ///< no double input and no int64 overflow yet.
     bool any = false;
     Value min_v, max_v;
   };
@@ -619,7 +639,11 @@ Status HashAggregate::DoOpen() {
         if (in_slot >= 0 && v.is_null()) continue;
         Accum& a = accums[group * specs_.size() + s];
         ++a.count;
-        if (v.is_numeric()) a.sum += v.NumericValue();
+        if (v.is_numeric()) {
+          a.sum += v.NumericValue();
+          a.int_exact = a.int_exact && v.is_int() &&
+                        !__builtin_add_overflow(a.int_sum, v.AsInt(), &a.int_sum);
+        }
         if (!a.any) {
           a.min_v = v;
           a.max_v = v;
@@ -650,7 +674,9 @@ Status HashAggregate::DoOpen() {
           column.emplace_back(Value::Int(a.count));
           break;
         case Fn::kSum:
-          column.emplace_back(a.any ? Value::Double(a.sum) : Value::Null());
+          column.emplace_back(!a.any        ? Value::Null()
+                              : a.int_exact ? Value::Int(a.int_sum)
+                                            : Value::Double(a.sum));
           break;
         case Fn::kMin:
           column.emplace_back(a.any ? a.min_v : Value::Null());

@@ -217,6 +217,12 @@ class HashJoin : public Operator {
   HashJoin(std::unique_ptr<Operator> left, std::unique_ptr<Operator> right,
            bool build_left = false);
 
+  /// Equi-join on explicit (left slot, right slot) key pairs, building on
+  /// the right. For inputs whose key columns carry different names — the
+  /// SQL planner's `alias.column` slots; the children share no variable.
+  HashJoin(std::unique_ptr<Operator> left, std::unique_ptr<Operator> right,
+           const std::vector<std::pair<size_t, size_t>>& key_slots);
+
   const TupleSchema& schema() const override { return schema_; }
   std::string label() const override;
 
@@ -370,12 +376,13 @@ class Limit : public Operator {
 };
 
 /// γ: hash aggregation. Groups by `group_variables`, computes one
-/// aggregate per spec into a fresh output variable. Not reachable from the
-/// XML-QL surface subset but part of the physical algebra (the paper's
-/// engine is "equivalent to a standard SQL query engine", §4) and used by
-/// the frontend and benchmarks. Vectorized: one pass over the child's
-/// batches updates per-group accumulators column by column — input rows
-/// are never buffered.
+/// aggregate per spec into a fresh output variable. It runs XML-QL
+/// aggregates and the SQL planner's GROUP BY and DISTINCT (the paper's
+/// engine is "equivalent to a standard SQL query engine", §4). SUM is an
+/// exact Int while every input is an int, and falls back to Double on a
+/// double input or on int64 overflow. Vectorized: one pass over the
+/// child's batches updates per-group accumulators column by column — input
+/// rows are never buffered.
 class HashAggregate : public Operator {
  public:
   enum class Fn { kCount, kSum, kMin, kMax, kAvg };

@@ -175,29 +175,32 @@ Status VerifyNode(const Operator& op, int depth) {
   if (const auto* join = dynamic_cast<const HashJoin*>(&op)) {
     const TupleSchema& left = children[0]->schema();
     const TupleSchema& right = children[1]->schema();
-    // I5: a hash join needs at least one shared variable, and its key-slot
-    // lists must name that variable in each child's schema.
-    if (join->join_variables().empty()) {
-      return Violation(op, "hash join without shared variables (should be a "
-                           "NestedLoopJoin)");
+    // I5: a hash join has at least one key pair, every pair addresses its
+    // children's schemas, and every variable the children share is a pair
+    // (a natural join's keys are exactly its shared variables; an
+    // explicit-key join's children share none).
+    const std::vector<size_t>& lk = join->left_key_slots();
+    const std::vector<size_t>& rk = join->right_key_slots();
+    if (lk.empty()) {
+      return Violation(op, "hash join without shared variables or key pairs "
+                           "(should be a NestedLoopJoin)");
     }
-    if (join->left_key_slots().size() != join->join_variables().size() ||
-        join->right_key_slots().size() != join->join_variables().size()) {
-      return Violation(op, "key slot lists do not match join variables");
-    }
-    for (size_t i = 0; i < join->join_variables().size(); ++i) {
-      const std::string& variable = join->join_variables()[i];
-      const size_t ls = join->left_key_slots()[i];
-      const size_t rs = join->right_key_slots()[i];
-      if (ls >= left.size() || left.variables()[ls] != variable) {
-        return Violation(op, "left key slot " + std::to_string(ls) +
-                                 " does not bind $" + variable +
-                                 " in the left schema " + left.ToString());
+    for (size_t i = 0; i < lk.size(); ++i) {
+      if (i >= rk.size() || lk[i] >= left.size() || rk[i] >= right.size()) {
+        return Violation(op, "key pair " + std::to_string(i) +
+                                 " exceeds the child schemas " +
+                                 left.ToString() + " / " + right.ToString());
       }
-      if (rs >= right.size() || right.variables()[rs] != variable) {
-        return Violation(op, "right key slot " + std::to_string(rs) +
-                                 " does not bind $" + variable +
-                                 " in the right schema " + right.ToString());
+    }
+    for (const std::string& variable : left.variables()) {
+      bool keyed = !right.SlotOf(variable).has_value();
+      for (size_t i = 0; i < lk.size() && !keyed; ++i) {
+        keyed = left.variables()[lk[i]] == variable &&
+                right.variables()[rk[i]] == variable;
+      }
+      if (!keyed) {
+        return Violation(op, "shared variable $" + variable +
+                                 " is not a key pair of the join");
       }
     }
     // I6: join output is exactly the merged child schemas.

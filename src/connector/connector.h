@@ -10,7 +10,7 @@
 #include "common/mutex.h"
 #include "common/result.h"
 #include "common/thread_annotations.h"
-#include "relational/executor.h"
+#include "relational/database.h"
 #include "xml/node.h"
 
 namespace nimble {

@@ -29,20 +29,6 @@ uint64_t RelationalConnector::DataVersion() {
   return db_->Version();
 }
 
-NodePtr RelationalConnector::ResultSetToXml(const relational::ResultSet& rs,
-                                            const std::string& root_name,
-                                            const std::string& record_name) {
-  NodePtr root = Node::Element(root_name);
-  for (const relational::Row& row : rs.rows) {
-    NodePtr record = Node::Element(record_name);
-    for (size_t i = 0; i < rs.columns.size() && i < row.size(); ++i) {
-      record->AddScalarChild(rs.columns[i], row[i]);
-    }
-    root->AddChild(std::move(record));
-  }
-  return root;
-}
-
 Result<NodePtr> RelationalConnector::FetchCollection(
     const std::string& collection, const RequestContext& ctx) {
   NIMBLE_RETURN_IF_ERROR(Admit(ctx));

@@ -42,12 +42,6 @@ class RelationalConnector : public Connector {
 
   relational::Database* database() { return db_; }
 
-  /// Renders a ResultSet as an XML record tree:
-  /// `<rows><row><col>v</col>…</row>…</rows>`.
-  static NodePtr ResultSetToXml(const relational::ResultSet& rs,
-                                const std::string& root_name = "rows",
-                                const std::string& record_name = "row");
-
  private:
   const std::string name_;
   /// All reads of the database — including the catalog walks in

@@ -26,15 +26,17 @@ const Table* Database::GetTable(const std::string& table_name) const {
   return it == tables_.end() ? nullptr : it->second.get();
 }
 
+Result<Table*> Database::FindTable(const std::string& table_name) {
+  Table* table = GetTable(table_name);
+  if (table == nullptr) return Status::NotFound("no table '" + table_name + "'");
+  return table;
+}
+
 std::vector<std::string> Database::TableNames() const {
   std::vector<std::string> names;
   names.reserve(tables_.size());
   for (const auto& [name, table] : tables_) names.push_back(name);
   return names;
-}
-
-Result<ResultSet> Database::Query(const SelectStmt& stmt) const {
-  return ExecuteSelect(*this, stmt);
 }
 
 Result<ResultSet> Database::Execute(std::string_view sql) {
@@ -45,10 +47,7 @@ Result<ResultSet> Database::Execute(std::string_view sql) {
   }
 
   if (auto* insert = std::get_if<InsertStmt>(&stmt)) {
-    Table* table = GetTable(insert->table);
-    if (table == nullptr) {
-      return Status::NotFound("no table '" + insert->table + "'");
-    }
+    NIMBLE_ASSIGN_OR_RETURN(Table * table, FindTable(insert->table));
     const TableSchema& schema = table->schema();
     for (const std::vector<Value>& values : insert->rows) {
       Row row;
@@ -90,83 +89,20 @@ Result<ResultSet> Database::Execute(std::string_view sql) {
   }
 
   if (auto* create_index = std::get_if<CreateIndexStmt>(&stmt)) {
-    Table* table = GetTable(create_index->table);
-    if (table == nullptr) {
-      return Status::NotFound("no table '" + create_index->table + "'");
-    }
+    NIMBLE_ASSIGN_OR_RETURN(Table * table, FindTable(create_index->table));
     NIMBLE_RETURN_IF_ERROR(
         table->CreateIndex(create_index->index_name, create_index->column));
     return ResultSet{};
   }
 
   if (auto* del = std::get_if<DeleteStmt>(&stmt)) {
-    Table* table = GetTable(del->table);
-    if (table == nullptr) {
-      return Status::NotFound("no table '" + del->table + "'");
-    }
-    Status eval_error = Status::OK();
-    size_t removed = table->DeleteWhere([&](const Row& row) {
-      if (del->where == nullptr) return true;
-      Result<Value> v =
-          EvaluateRowExpression(*del->where, table->schema(), row);
-      if (!v.ok()) {
-        eval_error = v.status();
-        return false;
-      }
-      return v->Truthy();
-    });
-    NIMBLE_RETURN_IF_ERROR(eval_error);
-    ResultSet rs;
-    rs.stats.rows_returned = removed;
-    return rs;
+    NIMBLE_ASSIGN_OR_RETURN(Table * table, FindTable(del->table));
+    return Delete(table, *del);
   }
 
   if (auto* update = std::get_if<UpdateStmt>(&stmt)) {
-    Table* table = GetTable(update->table);
-    if (table == nullptr) {
-      return Status::NotFound("no table '" + update->table + "'");
-    }
-    const TableSchema& schema = table->schema();
-    std::vector<size_t> target_cols;
-    for (const auto& [col, expr] : update->assignments) {
-      std::optional<size_t> idx = schema.ColumnIndex(col);
-      if (!idx.has_value()) {
-        return Status::NotFound("no column '" + col + "' in table '" +
-                                update->table + "'");
-      }
-      target_cols.push_back(*idx);
-    }
-    Status eval_error = Status::OK();
-    NIMBLE_ASSIGN_OR_RETURN(
-        size_t updated,
-        table->UpdateWhere(
-            [&](const Row& row) {
-              if (update->where == nullptr) return true;
-              Result<Value> v =
-                  EvaluateRowExpression(*update->where, schema, row);
-              if (!v.ok()) {
-                eval_error = v.status();
-                return false;
-              }
-              return v->Truthy();
-            },
-            [&](Row* row) {
-              // Assignments see the *old* row values.
-              const Row old_row = *row;
-              for (size_t a = 0; a < update->assignments.size(); ++a) {
-                Result<Value> v = EvaluateRowExpression(
-                    *update->assignments[a].second, schema, old_row);
-                if (!v.ok()) {
-                  eval_error = v.status();
-                  return;
-                }
-                (*row)[target_cols[a]] = std::move(v).value();
-              }
-            }));
-    NIMBLE_RETURN_IF_ERROR(eval_error);
-    ResultSet rs;
-    rs.stats.rows_returned = updated;
-    return rs;
+    NIMBLE_ASSIGN_OR_RETURN(Table * table, FindTable(update->table));
+    return Update(table, *update);
   }
 
   return Status::Internal("unhandled statement variant");

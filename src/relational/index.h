@@ -35,8 +35,6 @@ class OrderedIndex {
   std::vector<size_t> Range(const Value& lo, bool lo_inclusive,
                             const Value& hi, bool hi_inclusive) const;
 
-  size_t size() const { return entries_.size(); }
-
  private:
   struct ValueLess {
     bool operator()(const Value& a, const Value& b) const {

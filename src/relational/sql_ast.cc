@@ -57,29 +57,13 @@ std::unique_ptr<SqlExpr> SqlExpr::Star() {
   return e;
 }
 
-std::unique_ptr<SqlExpr> SqlExpr::CloneExpr() const {
-  auto e = std::make_unique<SqlExpr>();
-  e->kind = kind;
-  e->literal = literal;
-  e->qualifier = qualifier;
-  e->column = column;
-  e->op = op;
-  e->args.reserve(args.size());
-  for (const auto& arg : args) e->args.push_back(arg->CloneExpr());
-  return e;
+bool SqlExpr::IsAggregateCall() const {
+  return kind == Kind::kFunction && (op == "COUNT" || op == "SUM" ||
+                                     op == "AVG" || op == "MIN" || op == "MAX");
 }
-
-namespace {
-
-bool IsAggregateName(const std::string& name) {
-  return name == "COUNT" || name == "SUM" || name == "AVG" || name == "MIN" ||
-         name == "MAX";
-}
-
-}  // namespace
 
 bool SqlExpr::ContainsAggregate() const {
-  if (kind == Kind::kFunction && IsAggregateName(op)) return true;
+  if (IsAggregateCall()) return true;
   for (const auto& arg : args) {
     if (arg->ContainsAggregate()) return true;
   }

@@ -46,7 +46,8 @@ struct SqlExpr {
   static std::unique_ptr<SqlExpr> Function(std::string name);
   static std::unique_ptr<SqlExpr> Star();
 
-  std::unique_ptr<SqlExpr> CloneExpr() const;
+  /// True for a call of COUNT, SUM, AVG, MIN or MAX.
+  bool IsAggregateCall() const;
 
   /// True if this subtree contains an aggregate function call.
   bool ContainsAggregate() const;

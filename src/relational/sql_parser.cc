@@ -53,12 +53,6 @@ class Parser {
     return Error("expected SELECT, INSERT, CREATE, DELETE or UPDATE");
   }
 
-  Result<std::unique_ptr<SqlExpr>> ParseStandaloneExpression() {
-    NIMBLE_ASSIGN_OR_RETURN(std::unique_ptr<SqlExpr> expr, ParseExpr());
-    NIMBLE_RETURN_IF_ERROR(ExpectEnd());
-    return expr;
-  }
-
  private:
   const SqlToken& Peek() const { return tokens_[pos_]; }
   bool PeekKeyword(const char* kw) const {
@@ -521,12 +515,6 @@ Result<SqlStatement> ParseSql(std::string_view sql) {
   NIMBLE_ASSIGN_OR_RETURN(std::vector<SqlToken> tokens, TokenizeSql(sql));
   Parser parser(std::move(tokens));
   return parser.ParseStatement();
-}
-
-Result<std::unique_ptr<SqlExpr>> ParseSqlExpression(std::string_view text) {
-  NIMBLE_ASSIGN_OR_RETURN(std::vector<SqlToken> tokens, TokenizeSql(text));
-  Parser parser(std::move(tokens));
-  return parser.ParseStandaloneExpression();
 }
 
 }  // namespace relational

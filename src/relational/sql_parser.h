@@ -19,9 +19,6 @@ namespace relational {
 ///   UPDATE t SET col = expr, … [WHERE cond]
 Result<SqlStatement> ParseSql(std::string_view sql);
 
-/// Parses a standalone SQL expression (used in tests and view definitions).
-Result<std::unique_ptr<SqlExpr>> ParseSqlExpression(std::string_view text);
-
 }  // namespace relational
 }  // namespace nimble
 

@@ -40,40 +40,14 @@ Status Table::Insert(Row row) {
   return Status::OK();
 }
 
-Row Table::MaterializeRow(size_t row_id) const {
-  Row row;
-  row.reserve(columns_.size());
-  for (const std::vector<Value>& column : columns_) {
-    row.push_back(column[row_id]);
-  }
-  return row;
-}
-
-void Table::CopyRowInto(size_t row_id, Row* out) const {
-  out->resize(columns_.size());
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    (*out)[c] = columns_[c][row_id];
-  }
-}
-
-void Table::StoreRow(size_t row_id, const Row& row) {
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    columns_[c][row_id] = row[c];
-  }
-}
-
-size_t Table::DeleteWhere(const std::function<bool(const Row&)>& predicate) {
+size_t Table::DeleteRows(const std::vector<size_t>& row_ids) {
   size_t removed = 0;
-  Row scratch;
-  for (size_t i = 0; i < num_rows_; ++i) {
-    if (tombstones_[i]) continue;
-    CopyRowInto(i, &scratch);
-    if (predicate(scratch)) {
-      tombstones_[i] = true;
-      ++tombstone_count_;
-      --live_rows_;
-      ++removed;
-    }
+  for (size_t id : row_ids) {
+    if (!IsLive(id)) continue;
+    tombstones_[id] = true;
+    ++tombstone_count_;
+    --live_rows_;
+    ++removed;
   }
   if (removed > 0) {
     RebuildIndexes();
@@ -82,30 +56,24 @@ size_t Table::DeleteWhere(const std::function<bool(const Row&)>& predicate) {
   return removed;
 }
 
-Result<size_t> Table::UpdateWhere(
-    const std::function<bool(const Row&)>& predicate,
-    const std::function<void(Row*)>& mutate) {
-  size_t updated = 0;
-  Row scratch;
-  for (size_t i = 0; i < num_rows_; ++i) {
-    if (tombstones_[i]) continue;
-    CopyRowInto(i, &scratch);
-    if (predicate(scratch)) {
-      mutate(&scratch);
-      schema_.CoerceRow(&scratch);
-      // Store before validating: historically the mutation was applied in
-      // place, so even the offending row keeps its new value on abort.
-      StoreRow(i, scratch);
-      Status status = schema_.ValidateRow(scratch);
-      if (!status.ok()) return status;
-      ++updated;
+Status Table::UpdateRows(const std::vector<size_t>& row_ids,
+                         std::vector<Row> rows) {
+  assert(row_ids.size() == rows.size());
+  for (Row& row : rows) {
+    schema_.CoerceRow(&row);
+    NIMBLE_RETURN_IF_ERROR(schema_.ValidateRow(row));
+  }
+  for (size_t i = 0; i < row_ids.size(); ++i) {
+    assert(IsLive(row_ids[i]));
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      columns_[c][row_ids[i]] = std::move(rows[i][c]);
     }
   }
-  if (updated > 0) {
+  if (!row_ids.empty()) {
     RebuildIndexes();
     ++version_;
   }
-  return updated;
+  return Status::OK();
 }
 
 Status Table::CreateIndex(const std::string& index_name,

@@ -2,7 +2,6 @@
 #define NIMBLE_RELATIONAL_TABLE_H_
 
 #include <cassert>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,7 +17,7 @@ namespace relational {
 /// columns they need without materializing intermediate Rows. Deleted rows
 /// are tombstoned in a bitmap (cheap deletes); the live tombstone count is
 /// tracked so scans over a dense table (the common case) skip the bitmap
-/// entirely. Indexes are rebuilt lazily after deletions.
+/// entirely. Indexes are rebuilt after every delete and update.
 class Table {
  public:
   explicit Table(TableSchema schema) : schema_(std::move(schema)) {
@@ -34,33 +33,10 @@ class Table {
   /// Number of live rows.
   size_t size() const { return live_rows_; }
 
-  /// Physical row count, including tombstoned rows. Row ids range over
-  /// [0, physical_size()).
-  size_t physical_size() const { return num_rows_; }
-
-  /// True when no row is tombstoned — every row id in [0, physical_size())
-  /// is live and scans need not consult the bitmap.
-  bool dense() const { return tombstone_count_ == 0; }
-
-  /// The full value array of one column (indexed by physical row id,
-  /// tombstoned slots included).
-  const std::vector<Value>& column_values(size_t column) const {
-    return columns_[column];
-  }
-
   /// Value at (physical row id, column).
   const Value& at(size_t row_id, size_t column) const {
     return columns_[column][row_id];
   }
-
-  /// Materializes a physical row id as a row-major Row. The caller must
-  /// know the id is live.
-  Row MaterializeRow(size_t row_id) const;
-
-  /// Overwrites `*out` (resized to the table arity) with row `row_id`,
-  /// reusing its capacity — the allocation-free variant of MaterializeRow
-  /// for tight scan loops.
-  void CopyRowInto(size_t row_id, Row* out) const;
 
   bool IsLive(size_t row_id) const {
     return row_id < num_rows_ && !tombstones_[row_id];
@@ -79,14 +55,13 @@ class Table {
     }
   }
 
-  /// Deletes all rows matching `predicate`; returns the count removed.
-  size_t DeleteWhere(const std::function<bool(const Row&)>& predicate);
+  /// Tombstones the live rows among `row_ids`; returns how many it removed.
+  size_t DeleteRows(const std::vector<size_t>& row_ids);
 
-  /// Applies `mutate` to all rows matching `predicate`; returns the count.
-  /// Mutated rows are re-validated; on type failure the update aborts with
-  /// the offending status (already-updated rows keep their new values).
-  Result<size_t> UpdateWhere(const std::function<bool(const Row&)>& predicate,
-                             const std::function<void(Row*)>& mutate);
+  /// Replaces live row `row_ids[i]` with `rows[i]`. Every row is coerced
+  /// and validated before the first write, so a rejected value leaves the
+  /// table unchanged.
+  Status UpdateRows(const std::vector<size_t>& row_ids, std::vector<Row> rows);
 
   /// Creates an ordered secondary index named `index_name` over `column`.
   Status CreateIndex(const std::string& index_name, const std::string& column);
@@ -105,8 +80,6 @@ class Table {
 
  private:
   void RebuildIndexes();
-  /// Writes `row` back into the column arrays at `row_id`.
-  void StoreRow(size_t row_id, const Row& row);
 
   TableSchema schema_;
   std::vector<std::vector<Value>> columns_;  ///< [column][physical row].

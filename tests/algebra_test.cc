@@ -239,6 +239,40 @@ TEST(OperatorTest, HashJoinOnSharedVariable) {
   EXPECT_EQ(out->size(), 3u);  // 1→10, 1→20, 3→30
 }
 
+TEST(OperatorTest, HashJoinOnExplicitKeyPairs) {
+  // SQL-style inputs: the key columns carry different names.
+  auto left = MakeScanPtr({"c.id", "c.name"},
+                          {{Value::Int(1), Value::String("a")},
+                           {Value::Null(), Value::String("n")},
+                           {Value::Int(3), Value::String("c")}});
+  auto right = MakeScanPtr({"o.cust", "o.total"},
+                           {{Value::Int(3), Value::Int(30)},
+                            {Value::Int(1), Value::Int(10)},
+                            {Value::Null(), Value::Int(0)},
+                            {Value::Double(1.0), Value::Int(20)}});
+  HashJoin join(std::move(left), std::move(right), {{0, 0}});
+  EXPECT_EQ(join.schema().variables(),
+            (std::vector<std::string>{"c.id", "c.name", "o.cust", "o.total"}));
+  EXPECT_EQ(join.label(), "HashJoin($c.id=$o.cust)");
+  Result<TupleBatch> out = join.Drain();
+  ASSERT_TRUE(out.ok());
+  // Probe-major in left order, build rows in right order; 1 joins 1.0,
+  // null joins nothing.
+  ASSERT_EQ(out->size(), 3u);
+  EXPECT_EQ(out->binding(3, 0).AsScalar(), Value::Int(10));
+  EXPECT_EQ(out->binding(3, 1).AsScalar(), Value::Int(20));
+  EXPECT_EQ(out->binding(3, 2).AsScalar(), Value::Int(30));
+}
+
+TEST(OperatorTest, HashAggregateSumFallsBackToDouble) {
+  auto scan = MakeScanPtr({"v"}, {{Value::Int(9223372036854775807)},
+                                  {Value::Int(1)}});
+  HashAggregate agg(std::move(scan), {}, {{HashAggregate::Fn::kSum, "v", "s"}});
+  Result<TupleBatch> out = agg.Drain();
+  ASSERT_TRUE(out.ok());
+  EXPECT_TRUE(out->binding(0, 0).AsScalar().is_double());
+}
+
 TEST(OperatorTest, HashJoinNullNeverJoins) {
   auto left = MakeScanPtr({"k"}, {{Value::Null()}, {Value::Int(1)}});
   auto right = MakeScanPtr({"k"}, {{Value::Null()}, {Value::Int(1)}});
@@ -306,8 +340,10 @@ TEST(OperatorTest, HashAggregateGrouped) {
   EXPECT_EQ(out->binding(*schema.SlotOf("city"), 0).AsScalar(),
             Value::String("sea"));
   EXPECT_EQ(out->binding(*schema.SlotOf("n"), 0).AsScalar(), Value::Int(2));
+  // SUM over ints is an exact Int.
   EXPECT_EQ(out->binding(*schema.SlotOf("total"), 0).AsScalar(),
-            Value::Double(30));
+            Value::Int(30));
+  EXPECT_TRUE(out->binding(*schema.SlotOf("total"), 0).AsScalar().is_int());
   EXPECT_EQ(out->binding(*schema.SlotOf("biggest"), 0).AsScalar(),
             Value::Int(20));
 }

@@ -403,6 +403,39 @@ TEST_F(EngineTest, GlobalAggregation) {
             Value::Double(1335.0 / 5));
 }
 
+// Rule 1: sum() over all-int inputs is an exact Int, as in SQL.
+TEST_F(EngineTest, SumOfLargeIntsIsExact) {
+  auto big = std::make_unique<connector::XmlConnector>("big");
+  Must(big->PutDocumentText(
+      "ns", "<ns><n>9007199254740993</n><n>2</n><n>2.5</n></ns>"));
+  Must(catalog_->RegisterSource(std::move(big)));
+  Rebuild(BaseOptions());
+  QueryResult qr = Run(R"(
+    WHERE <ns><n>$v</n></ns> IN "big:ns", $v > 3
+    CONSTRUCT <total>sum($v)</total>
+  )");
+  ASSERT_EQ(qr.report.result_count, 1u);
+  const Value total = qr.document->children()[0]->ScalarValue();
+  ASSERT_TRUE(total.is_int()) << ValueTypeName(total.type());
+  EXPECT_EQ(total.AsInt(), 9007199254740993);  // 2^53 + 1; no double holds it
+  EXPECT_NE(ToXml(*qr.document).find("9007199254740993"), std::string::npos);
+  // With the two smaller values the sum is 2^53 + 3: still exact and Int.
+  qr = Run(R"(
+    WHERE <ns><n>$v</n></ns> IN "big:ns", $v != 2.5
+    CONSTRUCT <total>sum($v)</total>
+  )");
+  EXPECT_EQ(qr.document->children()[0]->ScalarValue(),
+            Value::Int(9007199254740995));
+  EXPECT_TRUE(qr.document->children()[0]->ScalarValue().is_int());
+  // A double input makes the sum a Double.
+  qr = Run(R"(
+    WHERE <ns><n>$v</n></ns> IN "big:ns", $v < 3
+    CONSTRUCT <total>sum($v)</total>
+  )");
+  EXPECT_TRUE(qr.document->children()[0]->ScalarValue().is_double());
+  EXPECT_EQ(qr.document->children()[0]->ScalarValue(), Value::Double(4.5));
+}
+
 TEST_F(EngineTest, AggregationOverJoin) {
   QueryResult qr = Run(R"(
     WHERE <customers><row><id>$i</id><segment>$s</segment></row></customers>

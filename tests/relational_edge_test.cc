@@ -121,6 +121,73 @@ TEST_F(RelationalEdgeTest, SumOfIntsStaysInt) {
   Exec("INSERT INTO i VALUES (1), (2), (3)");
   ResultSet rs = Exec("SELECT SUM(x) FROM i");
   EXPECT_EQ(rs.rows[0][0], Value::Int(6));
+  EXPECT_TRUE(rs.rows[0][0].is_int());
+  // Sums beyond 2^53 stay exact (a double would round 2^53 + 1 away).
+  Exec("INSERT INTO i VALUES (9007199254740993)");
+  rs = Exec("SELECT SUM(x) FROM i");
+  ASSERT_TRUE(rs.rows[0][0].is_int());
+  EXPECT_EQ(rs.rows[0][0].AsInt(), 9007199254740999);
+  // One double input, or int64 overflow, falls back to Double.
+  rs = Exec("SELECT SUM(b) FROM t");
+  EXPECT_TRUE(rs.rows[0][0].is_double());
+  Exec("INSERT INTO i VALUES (9223372036854775807)");
+  rs = Exec("SELECT SUM(x) FROM i");
+  ASSERT_TRUE(rs.rows[0][0].is_double());
+  EXPECT_EQ(rs.rows[0][0].AsDouble(), 9223372036854775807.0 +
+                                          9007199254740999.0);
+}
+
+// Rule 2: a SUM/AVG argument must be numeric or numeric text.
+TEST_F(RelationalEdgeTest, SumOfNonNumericTextIsATypeError) {
+  EXPECT_EQ(ExecError("SELECT SUM(s) FROM t").code(), StatusCode::kTypeError);
+  EXPECT_EQ(ExecError("SELECT AVG(s) FROM t WHERE a = 1").code(),
+            StatusCode::kTypeError);
+  // Numeric text counts as a number, and makes the sum a Double.
+  Exec("CREATE TABLE txt (n TEXT)");
+  Exec("INSERT INTO txt VALUES ('2'), ('3'), (NULL)");
+  ResultSet rs = Exec("SELECT SUM(n), AVG(n), COUNT(n) FROM txt");
+  EXPECT_TRUE(rs.rows[0][0].is_double());
+  EXPECT_EQ(rs.rows[0][0], Value::Double(5.0));
+  EXPECT_EQ(rs.rows[0][1], Value::Double(2.5));
+  EXPECT_EQ(rs.rows[0][2], Value::Int(2));
+}
+
+// ---- Integer overflow ---------------------------------------------------------
+
+// SQL text is untrusted: int64 arithmetic that would overflow is an error,
+// not a wrapped value or a SIGFPE.
+TEST_F(RelationalEdgeTest, IntegerOverflowIsAnError) {
+  for (const char* sql : {
+           "SELECT (0 - 9223372036854775807 - 1) % -1 FROM t WHERE a = 1",
+           "SELECT 9223372036854775807 + 1 FROM t WHERE a = 1",
+           "SELECT (0 - 9223372036854775807) - 2 FROM t WHERE a = 1",
+           "SELECT 4611686018427387904 * 2 FROM t WHERE a = 1",
+           "SELECT -(0 - 9223372036854775807 - 1) FROM t WHERE a = 1",
+           "SELECT ABS(0 - 9223372036854775807 - 1) FROM t WHERE a = 1",
+       }) {
+    Status s = ExecError(sql);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << sql;
+    EXPECT_NE(s.message().find("integer overflow"), std::string::npos)
+        << sql << ": " << s.ToString();
+  }
+  // The edges themselves still compute.
+  ResultSet rs = Exec(
+      "SELECT 9223372036854775807 + 0, (0 - 9223372036854775807 - 1) % 1, "
+      "(0 - 9223372036854775807 - 1) / -1 FROM t WHERE a = 1");
+  EXPECT_EQ(rs.rows[0][0].AsInt(), 9223372036854775807);
+  EXPECT_EQ(rs.rows[0][1].AsInt(), 0);
+  EXPECT_TRUE(rs.rows[0][2].is_double());  // '/' is always a double
+  EXPECT_EQ(ExecError("UPDATE t SET a = a * 9223372036854775807 WHERE a = 2")
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+// A LIMIT stops pulling rows once it has enough: LIMIT 0 evaluates none, so
+// a row-level error past the limit is never raised.
+TEST_F(RelationalEdgeTest, LimitZeroEvaluatesNoRows) {
+  EXPECT_EQ(Exec("SELECT a / 0 FROM t LIMIT 0").rows.size(), 0u);
+  EXPECT_EQ(ExecError("SELECT a / 0 FROM t LIMIT 1").code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(RelationalEdgeTest, MinMaxOnStrings) {

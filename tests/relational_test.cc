@@ -3,7 +3,6 @@
 #include <cstdlib>
 
 #include "relational/database.h"
-#include "relational/executor.h"
 #include "relational/sql_ast.h"
 #include "relational/sql_parser.h"
 
@@ -152,7 +151,9 @@ TEST_F(RelationalTest, Aggregates) {
                       "AVG(total) FROM orders");
   ASSERT_EQ(rs.rows.size(), 1u);
   EXPECT_EQ(rs.rows[0][0], Value::Int(4));
+  EXPECT_TRUE(rs.rows[0][0].is_int());
   EXPECT_EQ(rs.rows[0][1], Value::Double(305.5));
+  EXPECT_TRUE(rs.rows[0][1].is_double());
   EXPECT_EQ(rs.rows[0][2], Value::Double(1.5));
   EXPECT_EQ(rs.rows[0][3], Value::Double(200.0));
   EXPECT_EQ(rs.rows[0][4], Value::Double(305.5 / 4));
@@ -181,6 +182,105 @@ TEST_F(RelationalTest, AggregateOverEmptyInput) {
   ASSERT_EQ(rs.rows.size(), 1u);
   EXPECT_EQ(rs.rows[0][0], Value::Int(0));
   EXPECT_TRUE(rs.rows[0][1].is_null());
+}
+
+// Rule 3: an aggregate without GROUP BY over zero rows yields one row —
+// COUNT 0 and every other aggregate NULL — while GROUP BY over zero rows
+// yields none.
+TEST_F(RelationalTest, AggregateWithoutGroupByOverNoRowsYieldsOneRow) {
+  ResultSet rs = Exec(
+      "SELECT COUNT(*), COUNT(status), SUM(total), AVG(total), MIN(status), "
+      "MAX(total), COUNT(*) + 1 FROM orders WHERE total > 10000");
+  ASSERT_EQ(rs.rows.size(), 1u);
+  EXPECT_TRUE(rs.rows[0][0].is_int());
+  EXPECT_EQ(rs.rows[0][0], Value::Int(0));
+  EXPECT_EQ(rs.rows[0][1], Value::Int(0));
+  for (size_t c = 2; c < 6; ++c) EXPECT_TRUE(rs.rows[0][c].is_null()) << c;
+  EXPECT_EQ(rs.rows[0][6], Value::Int(1));
+  EXPECT_EQ(Exec("SELECT status, COUNT(*) FROM orders WHERE total > 10000 "
+                 "GROUP BY status")
+                .rows.size(),
+            0u);
+}
+
+// Rule 4: names resolve at plan time, so an unknown or ambiguous column
+// fails even when no row would ever be evaluated.
+TEST_F(RelationalTest, UnknownColumnFailsWithoutRows) {
+  Exec("CREATE TABLE e (a INT)");
+  EXPECT_EQ(ExecError("SELECT zz FROM e").code(), StatusCode::kNotFound);
+  EXPECT_EQ(ExecError("SELECT name FROM customers WHERE zz > 100").code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(ExecError("SELECT zz FROM customers WHERE id > 100").code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(ExecError("SELECT c.name FROM customers c JOIN orders o "
+                      "ON c.id = o.customer_id AND o.zz = 1 WHERE c.id > 99")
+                .code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(ExecError("SELECT id FROM customers c JOIN customers d "
+                      "ON c.id = d.id WHERE c.id > 99")
+                .code(),
+            StatusCode::kInvalidArgument);
+  // A table name used twice without distinct aliases is ambiguous too.
+  EXPECT_EQ(ExecError("SELECT COUNT(*) FROM customers JOIN customers "
+                      "ON customers.id = customers.id")
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ExecError("DELETE FROM e WHERE zz = 1").code(),
+            StatusCode::kNotFound);
+}
+
+// Rule 5: in an aggregate query a select item or HAVING term must be a
+// group key or sit inside an aggregate.
+TEST_F(RelationalTest, BareColumnInAggregateQueryIsAnError) {
+  EXPECT_EQ(ExecError("SELECT name, COUNT(*) FROM customers GROUP BY city")
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ExecError("SELECT name, COUNT(*) FROM customers").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ExecError("SELECT city FROM customers GROUP BY city "
+                      "HAVING balance > 0")
+                .code(),
+            StatusCode::kInvalidArgument);
+  // Group keys match by text, or as columns whatever their qualification.
+  ResultSet rs = Exec(
+      "SELECT customers.city, UPPER(city), COUNT(*) FROM customers "
+      "GROUP BY city ORDER BY customers.city");
+  ASSERT_EQ(rs.rows.size(), 3u);
+  EXPECT_EQ(rs.rows[0][1], Value::String("BOISE"));
+}
+
+// DML finds its rows through the SELECT access path: an equality on an
+// indexed column probes the index instead of scanning the table.
+TEST_F(RelationalTest, DeleteByIndexedKeyUsesTheIndex) {
+  ResultSet rs = Exec("DELETE FROM customers WHERE id = 3");
+  EXPECT_TRUE(rs.stats.used_index);
+  EXPECT_EQ(rs.stats.index_name, "pk_customers");
+  EXPECT_EQ(rs.stats.rows_scanned, 1u);
+  EXPECT_EQ(rs.stats.rows_returned, 1u);
+  rs = Exec("UPDATE customers SET city = 'Reno' WHERE id IN (1, 4)");
+  EXPECT_TRUE(rs.stats.used_index);
+  EXPECT_EQ(rs.stats.rows_scanned, 2u);
+  EXPECT_EQ(rs.stats.rows_returned, 2u);
+  EXPECT_EQ(Exec("SELECT id FROM customers WHERE city = 'Reno'").rows.size(),
+            2u);
+  EXPECT_EQ(Exec("SELECT id FROM customers WHERE id = 3").rows.size(), 0u);
+}
+
+// DML is all or nothing: a row that fails to evaluate or validate leaves
+// the table as it was.
+TEST_F(RelationalTest, FailedDmlChangesNothing) {
+  Exec("CREATE TABLE d (k INT, v INT)");
+  Exec("INSERT INTO d VALUES (1, 1), (2, 0), (3, 1)");
+  EXPECT_EQ(ExecError("UPDATE d SET v = v + 0.5 WHERE k > 1").code(),
+            StatusCode::kTypeError);  // a double in an INT column
+  EXPECT_EQ(ExecError("UPDATE d SET k = k + 10, v = 1 % v").code(),
+            StatusCode::kInvalidArgument);  // modulo by zero at k = 2
+  EXPECT_EQ(ExecError("DELETE FROM d WHERE 1 / v > 0").code(),
+            StatusCode::kInvalidArgument);
+  ResultSet rs = Exec("SELECT k, v FROM d");
+  ASSERT_EQ(rs.rows.size(), 3u);
+  EXPECT_EQ(rs.rows[0], (Row{Value::Int(1), Value::Int(1)}));
+  EXPECT_EQ(rs.rows[1], (Row{Value::Int(2), Value::Int(0)}));
 }
 
 TEST_F(RelationalTest, ScalarFunctions) {

@@ -175,6 +175,24 @@ TEST(VerifierTest, I5_HashJoinWithoutSharedVariables) {
   ExpectViolation(VerifyPlan(join), "without shared variables");
 }
 
+TEST(VerifierTest, I5_ExplicitKeyPairsVerify) {
+  HashJoin join(Scan({"c.id", "c.name"}), Scan({"o.cust", "o.total"}),
+                {{0, 0}});
+  EXPECT_TRUE(VerifyPlan(join).ok()) << VerifyPlan(join).ToString();
+}
+
+TEST(VerifierTest, I5_KeyPairOutsideChildSchema) {
+  HashJoin join(Scan({"c.id"}), Scan({"o.cust"}), {{0, 3}});
+  ExpectViolation(VerifyPlan(join), "key pair 0 exceeds the child schemas");
+}
+
+TEST(VerifierTest, I5_SharedVariableNotJoinedOn) {
+  // Explicit keys over children that share a variable would drop the
+  // natural join on it (and the output merge would collapse its slots).
+  HashJoin join(Scan({"a", "b"}), Scan({"c", "b"}), {{0, 0}});
+  ExpectViolation(VerifyPlan(join), "shared variable $b");
+}
+
 // ---- I6: join output schema ----------------------------------------------
 
 TEST(VerifierTest, I6_JoinSchemaNotMergeOfChildren) {
