@@ -81,7 +81,8 @@ BENCHMARK(BM_HashJoin)->Arg(100)->Arg(1000)->Arg(10000);
 void BM_NestedLoopJoin(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
-    // Equality expressed as a residual condition (no shared variables).
+    // Equality expressed as a Filter over the cartesian join (no shared
+    // variables) — the plan both planners build for a non-equi condition.
     TupleSchema joined = TupleSchema({"a", "l"}).Merge(TupleSchema({"b", "r"}));
     xmlql::Condition cond;
     cond.op = xmlql::Condition::Op::kEq;
@@ -89,9 +90,11 @@ void BM_NestedLoopJoin(benchmark::State& state) {
     cond.lhs.variable = "a";
     cond.rhs.is_variable = true;
     cond.rhs.variable = "b";
-    auto bc = algebra::BoundCondition::Bind(cond, joined);
-    algebra::NestedLoopJoin join(MakeIntScan("a", "l", n, 1, n),
-                                 MakeIntScan("b", "r", n, 2, n), {*bc});
+    auto bc = algebra::BindCondition(cond, joined);
+    algebra::Filter join(
+        std::make_unique<algebra::NestedLoopJoin>(
+            MakeIntScan("a", "l", n, 1, n), MakeIntScan("b", "r", n, 2, n)),
+        {*bc});
     auto result = join.Drain();
     benchmark::DoNotOptimize(result);
   }
@@ -240,9 +243,9 @@ std::unique_ptr<algebra::Operator> MakeScanFilter() {
   cond.lhs.is_variable = true;
   cond.lhs.variable = "k";
   cond.rhs.literal = Value::Int(static_cast<int64_t>(kScanRows / 2));
-  auto bc = algebra::BoundCondition::Bind(cond, scan->schema());
+  auto bc = algebra::BindCondition(cond, scan->schema());
   return std::make_unique<algebra::Filter>(
-      std::move(scan), std::vector<algebra::BoundCondition>{*bc});
+      std::move(scan), std::vector<algebra::BoundExpr>{*bc});
 }
 
 std::unique_ptr<algebra::Operator> MakeJoinPlan() {

@@ -4,104 +4,8 @@
 #include <cmath>
 #include <unordered_map>
 
-#include "common/strings.h"
-
 namespace nimble {
 namespace algebra {
-
-// ---- BoundCondition ---------------------------------------------------------
-
-Result<BoundCondition> BoundCondition::Bind(const xmlql::Condition& condition,
-                                            const TupleSchema& schema) {
-  BoundCondition bound;
-  bound.op = condition.op;
-  if (condition.lhs.is_variable) {
-    std::optional<size_t> slot = schema.SlotOf(condition.lhs.variable);
-    if (!slot.has_value()) {
-      return Status::InvalidArgument("unbound variable $" +
-                                     condition.lhs.variable);
-    }
-    bound.lhs_slot = static_cast<int>(*slot);
-  } else {
-    bound.lhs_literal = condition.lhs.literal;
-  }
-  if (condition.rhs.is_variable) {
-    std::optional<size_t> slot = schema.SlotOf(condition.rhs.variable);
-    if (!slot.has_value()) {
-      return Status::InvalidArgument("unbound variable $" +
-                                     condition.rhs.variable);
-    }
-    bound.rhs_slot = static_cast<int>(*slot);
-  } else {
-    bound.rhs_literal = condition.rhs.literal;
-  }
-  return bound;
-}
-
-namespace {
-
-/// Shared comparison core: `binding_at(slot)` yields the Binding for a
-/// variable operand. Both callers (a batch row, a nested-loop join pair)
-/// funnel through here so null semantics and LIKE stay identical.
-template <typename BindingAt>
-bool EvalBound(const BoundCondition& c, BindingAt&& binding_at) {
-  const Value& lhs = c.lhs_slot >= 0
-                         ? binding_at(static_cast<size_t>(c.lhs_slot)).AsScalar()
-                         : c.lhs_literal;
-  const Value& rhs = c.rhs_slot >= 0
-                         ? binding_at(static_cast<size_t>(c.rhs_slot)).AsScalar()
-                         : c.rhs_literal;
-  // A null operand makes every comparison false, LIKE included — as in the
-  // SQL the pushed-down path runs, so pushdown never changes an answer.
-  if (lhs.is_null() || rhs.is_null()) return false;
-  if (c.op == xmlql::Condition::Op::kLike) {
-    return LikeMatch(lhs.ToString(), rhs.ToString());
-  }
-  int cmp = lhs.Compare(rhs);
-  switch (c.op) {
-    case xmlql::Condition::Op::kEq:
-      return cmp == 0;
-    case xmlql::Condition::Op::kNe:
-      return cmp != 0;
-    case xmlql::Condition::Op::kLt:
-      return cmp < 0;
-    case xmlql::Condition::Op::kLe:
-      return cmp <= 0;
-    case xmlql::Condition::Op::kGt:
-      return cmp > 0;
-    case xmlql::Condition::Op::kGe:
-      return cmp >= 0;
-    case xmlql::Condition::Op::kLike:
-      return false;  // handled above
-  }
-  return false;
-}
-
-}  // namespace
-
-void ApplyConditions(const std::vector<BoundCondition>& conditions,
-                     TupleBatch* batch) {
-  if (conditions.empty()) return;
-  // Condition-major evaluation: each predicate compacts the surviving
-  // physical row set in place.
-  std::vector<uint32_t> selection;
-  selection.reserve(batch->size());
-  for (size_t i = 0; i < batch->size(); ++i) {
-    selection.push_back(static_cast<uint32_t>(batch->PhysicalRow(i)));
-  }
-  for (const BoundCondition& cond : conditions) {
-    size_t kept = 0;
-    for (uint32_t phys : selection) {
-      bool pass = EvalBound(cond, [batch, phys](size_t slot) -> const Binding& {
-        return batch->column(slot)[phys];
-      });
-      if (pass) selection[kept++] = phys;
-    }
-    selection.resize(kept);
-    if (selection.empty()) break;
-  }
-  batch->SetSelection(std::move(selection));
-}
 
 // ---- Operator ----------------------------------------------------------------
 
@@ -223,8 +127,8 @@ std::string MaterializedScan::label() const {
 // ---- Filter --------------------------------------------------------------------
 
 Filter::Filter(std::unique_ptr<Operator> child,
-               std::vector<BoundCondition> conds)
-    : child_(std::move(child)), conditions_(std::move(conds)) {
+               std::vector<BoundExpr> predicates)
+    : child_(std::move(child)), predicates_(std::move(predicates)) {
   AddChild(child_.get());
 }
 
@@ -234,15 +138,36 @@ Result<std::optional<TupleBatch>> Filter::DoNextBatch() {
     NIMBLE_ASSIGN_OR_RETURN(std::optional<TupleBatch> batch,
                             child_->NextBatch());
     if (!batch.has_value()) return batch;
-    ApplyConditions(conditions_, &*batch);
+    NIMBLE_RETURN_IF_ERROR(ApplyPredicates(predicates_, &*batch));
     if (batch->empty()) continue;  // try the next child batch
     return batch;
   }
 }
 
 std::string Filter::label() const {
-  return "Filter(" + std::to_string(conditions_.size()) + " conds)";
+  return "Filter(" + std::to_string(predicates_.size()) + " conds)";
 }
+
+// ---- Joins ----------------------------------------------------------------------
+
+namespace {
+
+/// Output slot → (side, source column) of a join whose output schema
+/// `merged` is left.Merge(right); side 0 is the left input, 1 the right.
+/// Left columns come first, then right columns override shared slots: the
+/// right binding wins on join keys, as the historical row-combine did.
+std::vector<std::pair<int, size_t>> SlotSources(const TupleSchema& left,
+                                                const TupleSchema& right,
+                                                const TupleSchema& merged) {
+  std::vector<std::pair<int, size_t>> sources(merged.size(), {0, 0});
+  for (size_t i = 0; i < left.size(); ++i) sources[i] = {0, i};
+  for (size_t j = 0; j < right.size(); ++j) {
+    sources[*merged.SlotOf(right.variables()[j])] = {1, j};
+  }
+  return sources;
+}
+
+}  // namespace
 
 // ---- HashJoin -------------------------------------------------------------------
 
@@ -272,19 +197,7 @@ HashJoin::HashJoin(std::unique_ptr<Operator> left,
   AddChild(left_.get());
   AddChild(right_.get());
   schema_ = left_->schema().Merge(right_->schema());
-  for (const std::string& var : right_->schema().variables()) {
-    right_output_slots_.push_back(*schema_.SlotOf(var));
-  }
-  // Output slot sources: left columns first, then right columns overriding
-  // shared slots (the right binding wins on join keys, as the historical
-  // row-combine did).
-  slot_source_.assign(schema_.size(), {0, 0});
-  for (size_t i = 0; i < left_->schema().size(); ++i) {
-    slot_source_[i] = {0, i};
-  }
-  for (size_t j = 0; j < right_output_slots_.size(); ++j) {
-    slot_source_[right_output_slots_[j]] = {1, j};
-  }
+  slot_source_ = SlotSources(left_->schema(), right_->schema(), schema_);
 }
 
 Status HashJoin::DoOpen() {
@@ -395,24 +308,12 @@ std::string HashJoin::label() const {
 // ---- NestedLoopJoin -----------------------------------------------------------
 
 NestedLoopJoin::NestedLoopJoin(std::unique_ptr<Operator> left,
-                               std::unique_ptr<Operator> right,
-                               std::vector<BoundCondition> conditions)
-    : left_(std::move(left)),
-      right_(std::move(right)),
-      conditions_(std::move(conditions)) {
+                               std::unique_ptr<Operator> right)
+    : left_(std::move(left)), right_(std::move(right)) {
   AddChild(left_.get());
   AddChild(right_.get());
   schema_ = left_->schema().Merge(right_->schema());
-  for (const std::string& var : right_->schema().variables()) {
-    right_output_slots_.push_back(*schema_.SlotOf(var));
-  }
-  slot_source_.assign(schema_.size(), {0, 0});
-  for (size_t i = 0; i < left_->schema().size(); ++i) {
-    slot_source_[i] = {0, i};
-  }
-  for (size_t j = 0; j < right_output_slots_.size(); ++j) {
-    slot_source_[right_output_slots_[j]] = {1, j};
-  }
+  slot_source_ = SlotSources(left_->schema(), right_->schema(), schema_);
 }
 
 Status NestedLoopJoin::DoOpen() {
@@ -424,13 +325,6 @@ Status NestedLoopJoin::DoOpen() {
   return Status::OK();
 }
 
-const Binding& NestedLoopJoin::BindingAt(size_t slot, const TupleBatch& probe,
-                                         size_t i, size_t r) const {
-  const auto& [side, col] = slot_source_[slot];
-  return side == 0 ? probe.column(col)[probe.PhysicalRow(i)]
-                   : right_data_.column(col)[r];
-}
-
 Result<std::optional<TupleBatch>> NestedLoopJoin::DoNextBatch() {
   TupleBatch out(schema_.size());
   while (true) {
@@ -439,22 +333,12 @@ Result<std::optional<TupleBatch>> NestedLoopJoin::DoNextBatch() {
       while (probe_row_ < probe_->size()) {
         while (right_pos_ < right_data_.num_rows()) {
           const size_t r = right_pos_++;
-          bool pass = true;
-          for (const BoundCondition& cond : conditions_) {
-            const bool ok = EvalBound(
-                cond, [this, r](size_t slot) -> const Binding& {
-                  return BindingAt(slot, *probe_, probe_row_, r);
-                });
-            if (!ok) {
-              pass = false;
-              break;
-            }
-          }
-          if (!pass) continue;
-          // Append the combined row (rejected pairs are never built).
+          const size_t phys = probe_->PhysicalRow(probe_row_);
           for (size_t slot = 0; slot < schema_.size(); ++slot) {
+            const auto& [side, col] = slot_source_[slot];
             out.MutableColumn(slot).push_back(
-                BindingAt(slot, *probe_, probe_row_, r));
+                side == 0 ? probe_->column(col)[phys]
+                          : right_data_.column(col)[r]);
           }
           out.SetNumRows(out.num_rows() + 1);
           if (out.num_rows() >= batch_size()) {

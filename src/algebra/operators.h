@@ -9,32 +9,12 @@
 #include <utility>
 #include <vector>
 
+#include "algebra/expr.h"
 #include "algebra/tuple.h"
 #include "common/result.h"
-#include "xmlql/ast.h"
 
 namespace nimble {
 namespace algebra {
-
-/// A condition with variable references resolved to tuple slots.
-struct BoundCondition {
-  xmlql::Condition::Op op = xmlql::Condition::Op::kEq;
-  int lhs_slot = -1;  ///< -1 means literal.
-  Value lhs_literal;
-  int rhs_slot = -1;
-  Value rhs_literal;
-
-  /// Resolves a parsed condition against `schema`.
-  static Result<BoundCondition> Bind(const xmlql::Condition& condition,
-                                     const TupleSchema& schema);
-};
-
-/// Shrinks `batch`'s selection to the active rows that pass every
-/// condition, keeping their order; the columns stay shared and unmoved.
-/// The one place conditions are applied to a batch: Filter runs it per
-/// child batch and the engine per fragment result.
-void ApplyConditions(const std::vector<BoundCondition>& conditions,
-                     TupleBatch* batch);
 
 /// Deadline/cancellation probe threaded into a plan before it drains
 /// (DESIGN.md §2b): returns OK while the query may keep running, Cancelled
@@ -180,17 +160,19 @@ class MaterializedScan : public Operator {
   std::string source_label_;
 };
 
-/// σ: drops rows failing any bound condition. Vectorized: applies the
-/// conditions to each child batch (ApplyConditions) and emits the same
-/// batch with a shrunk selection vector — survivors are never copied.
+/// σ: drops rows on which any predicate fails — the only operator that
+/// drops rows by predicate, for XML-QL conditions and SQL WHERE, ON and
+/// HAVING alike. Vectorized: applies the predicates to each child batch
+/// (ApplyPredicates) and emits the same batch with a shrunk selection
+/// vector — survivors are never copied.
 class Filter : public Operator {
  public:
-  Filter(std::unique_ptr<Operator> child, std::vector<BoundCondition> conds);
+  Filter(std::unique_ptr<Operator> child, std::vector<BoundExpr> predicates);
 
   const TupleSchema& schema() const override { return child_->schema(); }
   std::string label() const override;
 
-  const std::vector<BoundCondition>& conditions() const { return conditions_; }
+  const std::vector<BoundExpr>& predicates() const { return predicates_; }
 
  protected:
   Status DoOpen() override { return child_->Open(); }
@@ -199,7 +181,7 @@ class Filter : public Operator {
 
  private:
   std::unique_ptr<Operator> child_;
-  std::vector<BoundCondition> conditions_;
+  std::vector<BoundExpr> predicates_;
 };
 
 /// ⋈: hash join on the variables shared between the two inputs (natural
@@ -265,8 +247,6 @@ class HashJoin : public Operator {
   std::vector<std::string> join_variables_;
   std::vector<size_t> left_key_slots_;
   std::vector<size_t> right_key_slots_;
-  /// right-slot → output-slot mapping.
-  std::vector<size_t> right_output_slots_;
   /// output-slot → (side, source column): side 0 = left, 1 = right. Shared
   /// variables resolve to the right side, preserving the historical
   /// "right binding wins" combine semantics.
@@ -281,20 +261,16 @@ class HashJoin : public Operator {
   uint32_t chain_ = kNone;           ///< next build candidate for probe_row_.
 };
 
-/// Nested-loop join for inputs with no shared variables (cartesian) or
-/// with extra non-equi conditions. Right side is materialized (columnar)
-/// on Open; conditions are evaluated against the pair's columns directly,
-/// so rejected combinations are never materialized.
+/// Nested-loop (cartesian) join for inputs with no equi-join key. The
+/// right side is materialized (columnar) on Open; every pair is emitted,
+/// and a non-equi condition is a Filter above the join.
 class NestedLoopJoin : public Operator {
  public:
   NestedLoopJoin(std::unique_ptr<Operator> left,
-                 std::unique_ptr<Operator> right,
-                 std::vector<BoundCondition> conditions_on_output);
+                 std::unique_ptr<Operator> right);
 
   const TupleSchema& schema() const override { return schema_; }
   std::string label() const override { return "NestedLoopJoin"; }
-
-  const std::vector<BoundCondition>& conditions() const { return conditions_; }
 
  protected:
   Status DoOpen() override;
@@ -302,17 +278,11 @@ class NestedLoopJoin : public Operator {
   void DoClose() override;
 
  private:
-  /// Binding at output slot `slot` for the pair (probe row i, right row r).
-  const Binding& BindingAt(size_t slot, const TupleBatch& probe, size_t i,
-                           size_t r) const;
-
   std::unique_ptr<Operator> left_;
   std::unique_ptr<Operator> right_;
   TupleSchema schema_;
-  std::vector<size_t> right_output_slots_;
   /// output-slot → (side, source column), as in HashJoin.
   std::vector<std::pair<int, size_t>> slot_source_;
-  std::vector<BoundCondition> conditions_;
 
   TupleBatch right_data_;            ///< compacted right side.
   std::optional<TupleBatch> probe_;  ///< current left batch.

@@ -34,28 +34,28 @@ Status CheckSchemaWellFormed(const Operator& op) {
   return Status::OK();
 }
 
-/// I4: every BoundCondition slot is -1 (literal) or within `arity`; LIKE
-/// literal operands must be strings (the only operand typing the untyped
-/// schema lets us check statically).
-Status CheckConditionSlots(const Operator& op,
-                           const std::vector<BoundCondition>& conditions,
-                           size_t arity, const char* against) {
-  for (const BoundCondition& cond : conditions) {
-    for (int slot : {cond.lhs_slot, cond.rhs_slot}) {
-      if (slot < -1 || slot >= static_cast<int>(arity)) {
-        return Violation(op, "condition references slot " +
-                                 std::to_string(slot) + " but " + against +
-                                 " has arity " + std::to_string(arity));
+/// I4: every slot an expression reads — at any depth of its tree — is
+/// within `arity`; a LIKE literal operand must be a string (the only
+/// operand typing the untyped schema lets us check statically).
+Status CheckExprSlots(const Operator& op, const BoundExpr& e, size_t arity) {
+  if (e.op == BoundExpr::Op::kSlot && e.slot >= arity) {
+    return Violation(op, "condition references slot " +
+                             std::to_string(e.slot) +
+                             " but the child schema has arity " +
+                             std::to_string(arity));
+  }
+  if (e.op == BoundExpr::Op::kLike) {
+    const char* role[] = {"subject", "pattern"};
+    for (size_t i = 0; i < e.args.size() && i < 2; ++i) {
+      if (e.args[i].op == BoundExpr::Op::kLiteral &&
+          !e.args[i].literal.is_string()) {
+        return Violation(op, std::string("LIKE ") + role[i] +
+                                 " literal is not a string");
       }
     }
-    if (cond.op == xmlql::Condition::Op::kLike) {
-      if (cond.lhs_slot == -1 && !cond.lhs_literal.is_string()) {
-        return Violation(op, "LIKE subject literal is not a string");
-      }
-      if (cond.rhs_slot == -1 && !cond.rhs_literal.is_string()) {
-        return Violation(op, "LIKE pattern literal is not a string");
-      }
-    }
+  }
+  for (const BoundExpr& arg : e.args) {
+    NIMBLE_RETURN_IF_ERROR(CheckExprSlots(op, arg, arity));
   }
   return Status::OK();
 }
@@ -144,8 +144,10 @@ Status VerifyNode(const Operator& op, int depth) {
                                " differs from child schema " +
                                child.schema().ToString());
     }
-    NIMBLE_RETURN_IF_ERROR(CheckConditionSlots(
-        op, filter->conditions(), child.schema().size(), "the child schema"));
+    for (const BoundExpr& predicate : filter->predicates()) {
+      NIMBLE_RETURN_IF_ERROR(
+          CheckExprSlots(op, predicate, child.schema().size()));
+    }
   }
 
   if (const auto* sort = dynamic_cast<const Sort*>(&op)) {
@@ -219,9 +221,6 @@ Status VerifyNode(const Operator& op, int depth) {
                                " is not the merge of its children (" +
                                left.Merge(right).ToString() + ")");
     }
-    // I4: residual conditions are evaluated on the *output* tuple.
-    NIMBLE_RETURN_IF_ERROR(CheckConditionSlots(
-        op, nlj->conditions(), nlj->schema().size(), "the join output"));
   }
 
   if (const auto* agg = dynamic_cast<const HashAggregate*>(&op)) {

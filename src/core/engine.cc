@@ -19,20 +19,14 @@ namespace core {
 namespace {
 
 /// Binds `conds` against `schema` and applies them to a fragment batch
-/// (algebra::ApplyConditions): the selection shrinks, and surviving rows
+/// (algebra::ApplyPredicates): the selection shrinks, and surviving rows
 /// stay in the shared columns, unmoved.
 Status FilterBatch(const std::vector<const xmlql::Condition*>& conds,
                    const algebra::TupleSchema& schema,
                    algebra::TupleBatch* batch) {
-  std::vector<algebra::BoundCondition> bound;
-  bound.reserve(conds.size());
-  for (const xmlql::Condition* cond : conds) {
-    NIMBLE_ASSIGN_OR_RETURN(algebra::BoundCondition bc,
-                            algebra::BoundCondition::Bind(*cond, schema));
-    bound.push_back(bc);
-  }
-  algebra::ApplyConditions(bound, batch);
-  return Status::OK();
+  NIMBLE_ASSIGN_OR_RETURN(std::vector<algebra::BoundExpr> bound,
+                          algebra::BindConditions(conds, schema));
+  return algebra::ApplyPredicates(bound, batch);
 }
 
 void AddUnique(std::vector<std::string>* list, const std::string& item) {

@@ -98,7 +98,7 @@ Result<std::unique_ptr<algebra::Operator>> AttachReadyConditions(
     std::unique_ptr<algebra::Operator> joined,
     std::vector<const xmlql::Condition*>* pending,
     std::vector<const xmlql::Condition*>* newly_attached) {
-  std::vector<algebra::BoundCondition> newly_bound;
+  std::vector<const xmlql::Condition*> ready;
   std::vector<const xmlql::Condition*> still_pending;
   for (const xmlql::Condition* cond : *pending) {
     bool covered = true;
@@ -108,22 +108,15 @@ Result<std::unique_ptr<algebra::Operator>> AttachReadyConditions(
         break;
       }
     }
-    if (covered) {
-      NIMBLE_ASSIGN_OR_RETURN(
-          algebra::BoundCondition bc,
-          algebra::BoundCondition::Bind(*cond, joined->schema()));
-      newly_bound.push_back(bc);
-      if (newly_attached != nullptr) newly_attached->push_back(cond);
-    } else {
-      still_pending.push_back(cond);
-    }
+    (covered ? ready : still_pending).push_back(cond);
   }
   *pending = std::move(still_pending);
-  if (!newly_bound.empty()) {
-    joined = std::make_unique<algebra::Filter>(std::move(joined),
-                                               std::move(newly_bound));
-  }
-  return joined;
+  if (ready.empty()) return joined;
+  NIMBLE_ASSIGN_OR_RETURN(std::vector<algebra::BoundExpr> bound,
+                          algebra::BindConditions(ready, joined->schema()));
+  if (newly_attached != nullptr) *newly_attached = ready;
+  return std::unique_ptr<algebra::Operator>(
+      std::make_unique<algebra::Filter>(std::move(joined), std::move(bound)));
 }
 
 /// The pre-optimizer heuristic, preserved verbatim as the ablation arm:
@@ -165,8 +158,7 @@ Result<JoinTreeResult> BuildLegacy(
       joined.size_estimate = std::max(left.size_estimate, right.size_estimate);
     } else {
       joined.op = std::make_unique<algebra::NestedLoopJoin>(
-          std::move(left.op), std::move(right.op),
-          std::vector<algebra::BoundCondition>{});
+          std::move(left.op), std::move(right.op));
       joined.size_estimate = left.size_estimate * right.size_estimate;
     }
     NIMBLE_ASSIGN_OR_RETURN(
@@ -178,13 +170,9 @@ Result<JoinTreeResult> BuildLegacy(
   JoinTreeResult result;
   result.root = std::move(entries[0].op);
   if (!pending.empty()) {
-    std::vector<algebra::BoundCondition> bound;
-    for (const xmlql::Condition* cond : pending) {
-      NIMBLE_ASSIGN_OR_RETURN(
-          algebra::BoundCondition bc,
-          algebra::BoundCondition::Bind(*cond, result.root->schema()));
-      bound.push_back(bc);
-    }
+    NIMBLE_ASSIGN_OR_RETURN(
+        std::vector<algebra::BoundExpr> bound,
+        algebra::BindConditions(pending, result.root->schema()));
     result.root = std::make_unique<algebra::Filter>(std::move(result.root),
                                                     std::move(bound));
   }
@@ -250,8 +238,7 @@ Result<JoinTreeResult> BuildCostBased(
           std::move(left.op), std::move(right.op), build_left);
     } else {
       joined.op = std::make_unique<algebra::NestedLoopJoin>(
-          std::move(left.op), std::move(right.op),
-          std::vector<algebra::BoundCondition>{});
+          std::move(left.op), std::move(right.op));
     }
     joined.op->set_estimated_rows(joined.size_estimate);
 
@@ -275,12 +262,10 @@ Result<JoinTreeResult> BuildCostBased(
   std::map<std::string, double> ndv = std::move(entries[0].var_ndv);
   result.root = std::move(entries[0].op);
   if (!pending.empty()) {
-    std::vector<algebra::BoundCondition> bound;
+    NIMBLE_ASSIGN_OR_RETURN(
+        std::vector<algebra::BoundExpr> bound,
+        algebra::BindConditions(pending, result.root->schema()));
     for (const xmlql::Condition* cond : pending) {
-      NIMBLE_ASSIGN_OR_RETURN(
-          algebra::BoundCondition bc,
-          algebra::BoundCondition::Bind(*cond, result.root->schema()));
-      bound.push_back(bc);
       est *= CrossConditionSelectivity(*cond, ndv);
     }
     result.root = std::make_unique<algebra::Filter>(std::move(result.root),

@@ -1,15 +1,11 @@
 // SQL planning: SELECT, DELETE and UPDATE lowered onto the physical algebra.
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <functional>
-#include <limits>
 #include <optional>
 #include <set>
 
 #include "algebra/operators.h"
-#include "common/strings.h"
 #include "relational/database.h"
 
 namespace nimble {
@@ -18,11 +14,13 @@ namespace relational {
 namespace {
 
 using algebra::Binding;
+using algebra::BoundExpr;
 using algebra::HashAggregate;
 using algebra::Operator;
 using algebra::TupleBatch;
 using algebra::TupleSchema;
 using Kind = SqlExpr::Kind;
+using Op = BoundExpr::Op;
 
 // ---- Names ------------------------------------------------------------------
 
@@ -66,30 +64,7 @@ TupleSchema NumberedSchema(size_t n) {
   return schema;
 }
 
-// ---- Bound expressions ------------------------------------------------------
-
-/// A SqlExpr with its column references bound to slots and its operator
-/// decoded — built once per plan, evaluated per row.
-struct BoundExpr {
-  enum class Op {
-    kLiteral, kSlot, kIsNull, kIsNotNull, kNot, kNeg, kAnd, kOr, kLike,
-    kEq, kNe, kLt, kLe, kGt, kGe, kAdd, kSub, kMul, kDiv, kMod, kIn,
-    kUpper, kLower, kLength, kAbs,
-    kNumeric,  ///< SUM/AVG input: numeric text → Double, else TypeError.
-  };
-  Op op = Op::kLiteral;
-  Value literal;
-  size_t slot = 0;
-  std::vector<BoundExpr> args;
-};
-using Op = BoundExpr::Op;
-
-BoundExpr SlotRef(size_t slot) {
-  BoundExpr b;
-  b.op = Op::kSlot;
-  b.slot = slot;
-  return b;
-}
+// ---- Binding ----------------------------------------------------------------
 
 /// The operators and scalar functions, by node kind and spelling.
 struct OpSpelling {
@@ -126,14 +101,10 @@ Result<BoundExpr> Bind(const SqlExpr& e, const TupleSchema& scope,
     NIMBLE_ASSIGN_OR_RETURN(std::optional<BoundExpr> claimed, hook(e));
     if (claimed.has_value()) return std::move(*claimed);
   }
-  BoundExpr b;
-  if (e.kind == Kind::kLiteral) {
-    b.literal = e.literal;
-    return b;
-  }
+  if (e.kind == Kind::kLiteral) return BoundExpr::Literal(e.literal);
   if (e.kind == Kind::kColumnRef) {
     NIMBLE_ASSIGN_OR_RETURN(size_t slot, Resolve(scope, e.qualifier, e.column));
-    return SlotRef(slot);
+    return BoundExpr::Slot(slot);
   }
   if (e.kind == Kind::kStar) {
     return Status::InvalidArgument("'*' outside COUNT(*)");
@@ -155,129 +126,12 @@ Result<BoundExpr> Bind(const SqlExpr& e, const TupleSchema& scope,
                                                           : "function ") +
                                e.op);
   }
-  b.op = op->op;
+  std::vector<BoundExpr> args;
   for (const auto& arg : e.args) {
     NIMBLE_ASSIGN_OR_RETURN(BoundExpr bound, Bind(*arg, scope, hook));
-    b.args.push_back(std::move(bound));
+    args.push_back(std::move(bound));
   }
-  return b;
-}
-
-Result<Value> EvalArithmetic(Op op, const Value& lhs, const Value& rhs) {
-  if (lhs.is_null() || rhs.is_null()) return Value::Null();
-  if (op == Op::kAdd && (lhs.is_string() || rhs.is_string())) {
-    return Value::String(lhs.ToString() + rhs.ToString());
-  }
-  if (lhs.is_int() && rhs.is_int() && op != Op::kDiv) {
-    const int64_t a = lhs.AsInt(), b = rhs.AsInt();
-    int64_t out = 0;
-    bool overflow = false;
-    if (op == Op::kAdd) overflow = __builtin_add_overflow(a, b, &out);
-    if (op == Op::kSub) overflow = __builtin_sub_overflow(a, b, &out);
-    if (op == Op::kMul) overflow = __builtin_mul_overflow(a, b, &out);
-    if (op == Op::kMod) {
-      if (b == 0) return Status::InvalidArgument("modulo by zero");
-      overflow = a == std::numeric_limits<int64_t>::min() && b == -1;
-      if (!overflow) out = a % b;
-    }
-    if (overflow) return Status::InvalidArgument("integer overflow");
-    return Value::Int(out);
-  }
-  NIMBLE_ASSIGN_OR_RETURN(double a, lhs.ToDouble());
-  NIMBLE_ASSIGN_OR_RETURN(double b, rhs.ToDouble());
-  if (op == Op::kDiv && b == 0) {
-    return Status::InvalidArgument("division by zero");
-  }
-  return Value::Double(op == Op::kAdd   ? a + b
-                       : op == Op::kSub ? a - b
-                       : op == Op::kMul ? a * b
-                       : op == Op::kDiv ? a / b
-                                        : std::fmod(a, b));
-}
-
-/// Evaluates `e` on physical row `row` of `batch`. Comparisons and LIKE
-/// with a NULL operand are false, arithmetic on NULL is NULL, string `+`
-/// concatenates, AND/OR/IN short-circuit, and int arithmetic that would
-/// overflow int64 is an error instead of a wrapped value.
-Result<Value> Eval(const BoundExpr& e, const TupleBatch& batch, size_t row) {
-  if (e.op == Op::kLiteral) return e.literal;
-  if (e.op == Op::kSlot) return batch.column(e.slot)[row].AsScalar();
-  NIMBLE_ASSIGN_OR_RETURN(const Value v, Eval(e.args[0], batch, row));
-  switch (e.op) {
-    case Op::kAnd:
-    case Op::kOr: {
-      if (v.Truthy() == (e.op == Op::kOr)) return Value::Bool(v.Truthy());
-      NIMBLE_ASSIGN_OR_RETURN(const Value rhs, Eval(e.args[1], batch, row));
-      return Value::Bool(rhs.Truthy());
-    }
-    case Op::kIn:
-      if (v.is_null()) return Value::Bool(false);
-      for (size_t i = 1; i < e.args.size(); ++i) {
-        NIMBLE_ASSIGN_OR_RETURN(const Value candidate,
-                                Eval(e.args[i], batch, row));
-        if (!candidate.is_null() && v == candidate) return Value::Bool(true);
-      }
-      return Value::Bool(false);
-    case Op::kIsNull:
-    case Op::kIsNotNull:
-      return Value::Bool(v.is_null() == (e.op == Op::kIsNull));
-    case Op::kNot:
-      return Value::Bool(!v.Truthy());
-    case Op::kNeg:
-    case Op::kAbs: {
-      if (v.is_null()) return Value::Null();
-      if (v.is_int()) {
-        if (v.AsInt() == std::numeric_limits<int64_t>::min()) {
-          return Status::InvalidArgument("integer overflow");
-        }
-        return Value::Int(e.op == Op::kNeg ? -v.AsInt()
-                                           : std::llabs(v.AsInt()));
-      }
-      NIMBLE_ASSIGN_OR_RETURN(double d, v.ToDouble());
-      return Value::Double(e.op == Op::kNeg ? -d : std::fabs(d));
-    }
-    case Op::kUpper:
-    case Op::kLower:
-    case Op::kLength:
-      if (v.is_null()) return Value::Null();
-      if (e.op == Op::kUpper) return Value::String(ToUpper(v.ToString()));
-      if (e.op == Op::kLower) return Value::String(ToLower(v.ToString()));
-      return Value::Int(static_cast<int64_t>(v.ToString().size()));
-    case Op::kNumeric: {
-      if (v.is_null() || v.is_numeric()) return v;
-      NIMBLE_ASSIGN_OR_RETURN(double d, v.ToDouble());
-      return Value::Double(d);
-    }
-    default:
-      break;
-  }
-  NIMBLE_ASSIGN_OR_RETURN(const Value rhs, Eval(e.args[1], batch, row));
-  if (e.op == Op::kLike) {
-    if (v.is_null() || rhs.is_null()) return Value::Bool(false);
-    return Value::Bool(LikeMatch(v.ToString(), rhs.ToString()));
-  }
-  if (e.op >= Op::kEq && e.op <= Op::kGe) {
-    if (v.is_null() || rhs.is_null()) return Value::Bool(false);
-    const int cmp = v.Compare(rhs);
-    return Value::Bool(e.op == Op::kEq   ? cmp == 0
-                       : e.op == Op::kNe ? cmp != 0
-                       : e.op == Op::kLt ? cmp < 0
-                       : e.op == Op::kLe ? cmp <= 0
-                       : e.op == Op::kGt ? cmp > 0
-                                         : cmp >= 0);
-  }
-  return EvalArithmetic(e.op, v, rhs);
-}
-
-/// True when every predicate holds on physical row `row`, evaluated in
-/// order and stopping at the first that does not (an AND chain).
-Result<bool> AllHold(const std::vector<BoundExpr>& predicates,
-                     const TupleBatch& batch, size_t row) {
-  for (const BoundExpr& predicate : predicates) {
-    NIMBLE_ASSIGN_OR_RETURN(Value v, Eval(predicate, batch, row));
-    if (!v.Truthy()) return false;
-  }
-  return true;
+  return BoundExpr::Call(op->op, std::move(args));
 }
 
 // ---- Operators --------------------------------------------------------------
@@ -330,29 +184,19 @@ class TableScan : public Operator {
   size_t position_ = 0;
 };
 
-/// σ or π over bound SQL expressions, one child batch at a time: Filter
-/// keeps the rows on which every predicate holds (survivors are never
-/// copied; a batch it empties is skipped by NextBatch()), Project computes
-/// one slot "#i" per expression.
-class ExprStage : public Operator {
+/// π over bound SQL expressions: one slot "#i" per expression, computed one
+/// child batch at a time.
+class Project : public Operator {
  public:
-  static std::unique_ptr<Operator> Filter(std::unique_ptr<Operator> child,
-                                          std::vector<BoundExpr> predicates) {
-    TupleSchema schema = child->schema();
-    return std::unique_ptr<Operator>(new ExprStage(
-        std::move(child), std::move(predicates), {}, std::move(schema)));
-  }
-  static std::unique_ptr<Operator> Project(std::unique_ptr<Operator> child,
-                                           std::vector<BoundExpr> exprs) {
-    TupleSchema schema = NumberedSchema(exprs.size());
-    return std::unique_ptr<Operator>(new ExprStage(
-        std::move(child), {}, std::move(exprs), std::move(schema)));
+  Project(std::unique_ptr<Operator> child, std::vector<BoundExpr> exprs)
+      : child_(std::move(child)),
+        exprs_(std::move(exprs)),
+        schema_(NumberedSchema(exprs_.size())) {
+    AddChild(child_.get());
   }
 
   const TupleSchema& schema() const override { return schema_; }
-  std::string label() const override {
-    return predicates_.empty() ? "SqlProject" : "SqlFilter";
-  }
+  std::string label() const override { return "SqlProject"; }
 
  protected:
   Status DoOpen() override { return child_->Open(); }
@@ -361,23 +205,13 @@ class ExprStage : public Operator {
     NIMBLE_ASSIGN_OR_RETURN(std::optional<TupleBatch> batch,
                             child_->NextBatch());
     if (!batch.has_value()) return batch;
-    if (!predicates_.empty()) {
-      std::vector<uint32_t> selection;
-      for (size_t i = 0; i < batch->size(); ++i) {
-        const size_t phys = batch->PhysicalRow(i);
-        NIMBLE_ASSIGN_OR_RETURN(bool keep, AllHold(predicates_, *batch, phys));
-        if (keep) selection.push_back(static_cast<uint32_t>(phys));
-      }
-      batch->SetSelection(std::move(selection));
-      return batch;
-    }
     TupleBatch out(exprs_.size());
     for (size_t k = 0; k < exprs_.size(); ++k) {
       std::vector<Binding>& column = out.MutableColumn(k);
       column.reserve(batch->size());
       for (size_t i = 0; i < batch->size(); ++i) {
-        NIMBLE_ASSIGN_OR_RETURN(Value v,
-                                Eval(exprs_[k], *batch, batch->PhysicalRow(i)));
+        NIMBLE_ASSIGN_OR_RETURN(
+            Value v, algebra::Eval(exprs_[k], *batch, batch->PhysicalRow(i)));
         column.emplace_back(std::move(v));
       }
     }
@@ -387,17 +221,7 @@ class ExprStage : public Operator {
   void DoClose() override { child_->Close(); }
 
  private:
-  ExprStage(std::unique_ptr<Operator> child, std::vector<BoundExpr> predicates,
-            std::vector<BoundExpr> exprs, TupleSchema schema)
-      : child_(std::move(child)),
-        predicates_(std::move(predicates)),
-        exprs_(std::move(exprs)),
-        schema_(std::move(schema)) {
-    AddChild(child_.get());
-  }
-
   std::unique_ptr<Operator> child_;
-  std::vector<BoundExpr> predicates_;
   std::vector<BoundExpr> exprs_;
   TupleSchema schema_;
 };
@@ -565,7 +389,9 @@ Result<std::unique_ptr<Operator>> PlanJoin(std::unique_ptr<Operator> left,
 
   const TupleSchema scope = left->schema().Merge(right->schema());
   std::vector<std::pair<size_t, size_t>> keys;
-  std::vector<BoundExpr> residual;
+  // The non-key conjuncts, ANDed in ON-clause order: one predicate keeps
+  // their row-at-a-time evaluation order.
+  std::optional<BoundExpr> residual;
   std::vector<const SqlExpr*> conjuncts;
   CollectConjuncts(join.condition.get(), &conjuncts);
   for (const SqlExpr* conjunct : conjuncts) {
@@ -586,7 +412,13 @@ Result<std::unique_ptr<Operator>> PlanJoin(std::unique_ptr<Operator> left,
     }
     if (!handled) {
       NIMBLE_ASSIGN_OR_RETURN(BoundExpr bound, Bind(*conjunct, scope));
-      residual.push_back(std::move(bound));
+      if (residual.has_value()) {
+        std::vector<BoundExpr> both;
+        both.push_back(std::move(*residual));
+        both.push_back(std::move(bound));
+        bound = BoundExpr::Call(Op::kAnd, std::move(both));
+      }
+      residual = std::move(bound);
     }
   }
 
@@ -595,12 +427,12 @@ Result<std::unique_ptr<Operator>> PlanJoin(std::unique_ptr<Operator> left,
     joined = std::make_unique<algebra::HashJoin>(std::move(left),
                                                  std::move(right), keys);
   } else {
-    joined = std::make_unique<algebra::NestedLoopJoin>(
-        std::move(left), std::move(right),
-        std::vector<algebra::BoundCondition>{});
+    joined = std::make_unique<algebra::NestedLoopJoin>(std::move(left),
+                                                       std::move(right));
   }
-  if (!residual.empty()) {
-    joined = ExprStage::Filter(std::move(joined), std::move(residual));
+  if (residual.has_value()) {
+    joined = std::make_unique<algebra::Filter>(
+        std::move(joined), std::vector<BoundExpr>{std::move(*residual)});
   }
   if (!join.left_outer) return joined;
 
@@ -666,10 +498,9 @@ Result<std::unique_ptr<Operator>> PlanGrouping(
       NIMBLE_ASSIGN_OR_RETURN(BoundExpr arg, Bind(*call.args[0], input));
       if (spec.fn == HashAggregate::Fn::kSum ||
           spec.fn == HashAggregate::Fn::kAvg) {
-        BoundExpr numeric;
-        numeric.op = Op::kNumeric;
-        numeric.args.push_back(std::move(arg));
-        arg = std::move(numeric);
+        std::vector<BoundExpr> numeric;
+        numeric.push_back(std::move(arg));
+        arg = BoundExpr::Call(Op::kNumeric, std::move(numeric));
       }
       spec.input_variable = "#" + std::to_string(pre.size());
       pre.push_back(std::move(arg));
@@ -677,8 +508,8 @@ Result<std::unique_ptr<Operator>> PlanGrouping(
     specs.push_back(std::move(spec));
   }
   std::vector<std::string> keys = NumberedSchema(num_keys).variables();
-  HashAggregate grouped(ExprStage::Project(std::move(plan), std::move(pre)),
-                        keys, specs);
+  HashAggregate grouped(
+      std::make_unique<Project>(std::move(plan), std::move(pre)), keys, specs);
   NIMBLE_ASSIGN_OR_RETURN(TupleBatch groups, grouped.Drain());
   if (num_keys == 0 && groups.num_rows() == 0) {
     // An aggregate without GROUP BY over no rows still yields one row.
@@ -692,7 +523,8 @@ Result<std::unique_ptr<Operator>> PlanGrouping(
   plan = std::make_unique<algebra::MaterializedScan>(
       grouped.schema(), std::move(groups), "groups");
   if (having.empty()) return plan;
-  return ExprStage::Filter(std::move(plan), std::move(having));
+  return std::unique_ptr<Operator>(
+      std::make_unique<algebra::Filter>(std::move(plan), std::move(having)));
 }
 
 /// Plans the select list. In an aggregate query (GROUP BY, HAVING or an
@@ -715,7 +547,7 @@ Result<std::unique_ptr<Operator>> PlanSelectList(
       const size_t dot = input.variables()[s].find('.');
       if (dot == std::string::npos) continue;
       out->columns.push_back(input.variables()[s].substr(dot + 1));
-      items.push_back(SlotRef(s));
+      items.push_back(BoundExpr::Slot(s));
     }
   }
   std::vector<BoundExpr> keys;
@@ -731,7 +563,7 @@ Result<std::unique_ptr<Operator>> PlanSelectList(
     auto key = std::find(key_texts.begin(), key_texts.end(), text);
     if (key != key_texts.end()) {
       return std::optional(
-          SlotRef(static_cast<size_t>(key - key_texts.begin())));
+          BoundExpr::Slot(static_cast<size_t>(key - key_texts.begin())));
     }
     if (e.IsAggregateCall()) {
       auto call = std::find(call_texts.begin(), call_texts.end(), text);
@@ -739,7 +571,7 @@ Result<std::unique_ptr<Operator>> PlanSelectList(
         calls.push_back(&e);
         call = call_texts.insert(call_texts.end(), text);
       }
-      return std::optional(SlotRef(
+      return std::optional(BoundExpr::Slot(
           keys.size() + static_cast<size_t>(call - call_texts.begin())));
     }
     if (e.kind != Kind::kColumnRef) return std::optional<BoundExpr>();
@@ -747,7 +579,7 @@ Result<std::unique_ptr<Operator>> PlanSelectList(
                             Resolve(input, e.qualifier, e.column));
     for (size_t k = 0; k < keys.size(); ++k) {
       if (keys[k].op == Op::kSlot && keys[k].slot == column) {
-        return std::optional(SlotRef(k));
+        return std::optional(BoundExpr::Slot(k));
       }
     }
     return Status::InvalidArgument("column '" + text +
@@ -783,7 +615,8 @@ Result<std::unique_ptr<Operator>> PlanSelectList(
     return plan;
   }
   for (size_t i = 0; i < items.size(); ++i) out->slots.push_back(i);
-  return ExprStage::Project(std::move(plan), std::move(items));
+  return std::unique_ptr<Operator>(
+      std::make_unique<Project>(std::move(plan), std::move(items)));
 }
 
 // ---- DML --------------------------------------------------------------------
@@ -801,14 +634,11 @@ Result<TupleBatch> MatchRows(const Table& table, const SqlExpr* where,
     predicate.push_back(std::move(bound));
   }
   NIMBLE_ASSIGN_OR_RETURN(TupleBatch rows, scan->Drain());
-  std::vector<uint32_t> selection;
-  for (size_t i = 0; i < rows.num_rows(); ++i) {
-    NIMBLE_ASSIGN_OR_RETURN(bool keep, AllHold(predicate, rows, i));
-    if (!keep) continue;
-    selection.push_back(static_cast<uint32_t>(i));
-    ids->push_back(scan->row_ids()[i]);
+  NIMBLE_RETURN_IF_ERROR(algebra::ApplyPredicates(predicate, &rows));
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ids->push_back(scan->row_ids()[rows.PhysicalRow(i)]);
   }
-  return rows.Select(std::move(selection));
+  return rows;
 }
 
 }  // namespace
@@ -848,7 +678,7 @@ Result<ResultSet> Database::Query(const SelectStmt& stmt) const {
   if (stmt.where != nullptr) {
     std::vector<BoundExpr> where(1);
     NIMBLE_ASSIGN_OR_RETURN(where[0], Bind(*stmt.where, plan->schema()));
-    plan = ExprStage::Filter(std::move(plan), std::move(where));
+    plan = std::make_unique<algebra::Filter>(std::move(plan), std::move(where));
   }
   Output out;
   NIMBLE_ASSIGN_OR_RETURN(std::unique_ptr<Operator> selected,
@@ -938,7 +768,7 @@ Result<ResultSet> Database::Update(Table* table, const UpdateStmt& stmt) {
       rows[i].push_back(old.column(c)[phys].AsScalar());
     }
     for (const auto& [col, value] : assignments) {
-      NIMBLE_ASSIGN_OR_RETURN(rows[i][col], Eval(value, old, phys));
+      NIMBLE_ASSIGN_OR_RETURN(rows[i][col], algebra::Eval(value, old, phys));
     }
   }
   NIMBLE_RETURN_IF_ERROR(table->UpdateRows(ids, std::move(rows)));

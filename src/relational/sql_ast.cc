@@ -82,13 +82,19 @@ std::string SqlQuote(const Value& v) {
       // The fewest significant digits, from ToString's 12 up to 17, that
       // parse back to the same double: a pushed literal or IN key selects
       // exactly its value, and every literal ToString renders exactly
-      // keeps that text.
+      // keeps that text. Bare digits gain ".0" so the text lexes as a
+      // double again: 25.0 stays "25.0", and -0.0 keeps its sign instead of
+      // reparsing as Int(0).
       char buf[32];
       for (int digits = 12; digits <= 17; ++digits) {
         std::snprintf(buf, sizeof(buf), "%.*g", digits, v.AsDouble());
         if (std::strtod(buf, nullptr) == v.AsDouble()) break;
       }
-      return buf;
+      std::string text = buf;
+      if (text.find_first_not_of("-0123456789") == std::string::npos) {
+        text += ".0";
+      }
+      return text;
     }
     case ValueType::kString:
       return "'" + ReplaceAll(v.AsString(), "'", "''") + "'";
@@ -108,7 +114,12 @@ std::string SqlExpr::ToSql() const {
       if (op == "ISNULL") return "(" + args[0]->ToSql() + " IS NULL)";
       if (op == "ISNOTNULL") return "(" + args[0]->ToSql() + " IS NOT NULL)";
       if (op == "NOT") return "(NOT " + args[0]->ToSql() + ")";
-      return "(" + op + args[0]->ToSql() + ")";
+      {
+        // A space keeps minus over a negative literal, -(-5), from printing
+        // "--", which the lexer reads as a comment.
+        const std::string arg = args[0]->ToSql();
+        return "(" + op + (arg.rfind('-', 0) == 0 ? " " : "") + arg + ")";
+      }
     case Kind::kBinary:
       return "(" + args[0]->ToSql() + " " + op + " " + args[1]->ToSql() + ")";
     case Kind::kFunction: {

@@ -1,5 +1,6 @@
 #include "relational/sql_parser.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "common/strings.h"
@@ -170,7 +171,8 @@ class Parser {
       if (Peek().kind != SqlTokenKind::kInteger) {
         return Error("expected integer after LIMIT");
       }
-      stmt.limit = std::strtoll(tokens_[pos_++].text.c_str(), nullptr, 10);
+      NIMBLE_ASSIGN_OR_RETURN(Value limit, ParseLiteralValue());
+      stmt.limit = limit.AsInt();
     }
     return stmt;
   }
@@ -217,14 +219,27 @@ class Parser {
     return stmt;
   }
 
+  /// The one literal parse, for INSERT values, IN lists and expressions: a
+  /// leading '-' folds into a numeric literal, so `-5` is Int(-5), not
+  /// minus applied to 5. An integer must fit int64: `-9223372036854775808`
+  /// is INT64_MIN, and any other magnitude beyond INT64_MAX is an error.
   Result<Value> ParseLiteralValue() {
     bool negative = ConsumeOperator("-");
     const SqlToken& tok = Peek();
     switch (tok.kind) {
       case SqlTokenKind::kInteger: {
-        int64_t v = std::strtoll(tok.text.c_str(), nullptr, 10);
+        errno = 0;
+        const unsigned long long magnitude =
+            std::strtoull(tok.text.c_str(), nullptr, 10);
+        const unsigned long long limit = (1ULL << 63) - (negative ? 0 : 1);
+        if (errno == ERANGE || magnitude > limit) {
+          return Error("integer literal out of range");
+        }
         ++pos_;
-        return Value::Int(negative ? -v : v);
+        // Two's complement negation in unsigned arithmetic: 2^63 becomes
+        // INT64_MIN without overflowing.
+        return Value::Int(static_cast<int64_t>(negative ? 0 - magnitude
+                                                        : magnitude));
       }
       case SqlTokenKind::kFloat: {
         double v = std::strtod(tok.text.c_str(), nullptr);
@@ -435,7 +450,13 @@ class Parser {
   }
 
   Result<std::unique_ptr<SqlExpr>> ParseUnary() {
-    if (ConsumeOperator("-")) {
+    if (PeekOperator("-")) {
+      const SqlTokenKind next = tokens_[pos_ + 1].kind;  // kEnd-terminated
+      if (next == SqlTokenKind::kInteger || next == SqlTokenKind::kFloat) {
+        NIMBLE_ASSIGN_OR_RETURN(Value v, ParseLiteralValue());
+        return SqlExpr::Literal(std::move(v));
+      }
+      ++pos_;
       NIMBLE_ASSIGN_OR_RETURN(std::unique_ptr<SqlExpr> arg, ParseUnary());
       return SqlExpr::Unary("-", std::move(arg));
     }
@@ -445,20 +466,11 @@ class Parser {
   Result<std::unique_ptr<SqlExpr>> ParsePrimary() {
     const SqlToken& tok = Peek();
     switch (tok.kind) {
-      case SqlTokenKind::kInteger: {
-        int64_t v = std::strtoll(tok.text.c_str(), nullptr, 10);
-        ++pos_;
-        return SqlExpr::Literal(Value::Int(v));
-      }
-      case SqlTokenKind::kFloat: {
-        double v = std::strtod(tok.text.c_str(), nullptr);
-        ++pos_;
-        return SqlExpr::Literal(Value::Double(v));
-      }
+      case SqlTokenKind::kInteger:
+      case SqlTokenKind::kFloat:
       case SqlTokenKind::kString: {
-        std::string s = tok.text;
-        ++pos_;
-        return SqlExpr::Literal(Value::String(std::move(s)));
+        NIMBLE_ASSIGN_OR_RETURN(Value v, ParseLiteralValue());
+        return SqlExpr::Literal(std::move(v));
       }
       case SqlTokenKind::kKeyword:
         if (ConsumeKeyword("NULL")) return SqlExpr::Literal(Value::Null());

@@ -191,6 +191,11 @@ int Value::Compare(const Value& other) const {
         return a < b ? -1 : (a > b ? 1 : 0);
       }
       double a = NumericValue(), b = other.NumericValue();
+      // NaN equals NaN and sorts above every other number (PostgreSQL's
+      // rule), so the order stays total.
+      if (std::isnan(a) || std::isnan(b)) {
+        return (std::isnan(a) ? 1 : 0) - (std::isnan(b) ? 1 : 0);
+      }
       return a < b ? -1 : (a > b ? 1 : 0);
     }
     case ValueType::kString:
@@ -210,6 +215,7 @@ size_t Value::Hash() const {
       // Hash the numeric family uniformly via double so 3 == 3.0 hash equal.
       double d = NumericValue();
       if (d == 0.0) d = 0.0;  // normalise -0.0
+      if (std::isnan(d)) return 0x7FF8DEADBEEF0001ULL;  // every NaN is equal
       return std::hash<double>()(d);
     }
     case ValueType::kString:

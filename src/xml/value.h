@@ -26,8 +26,9 @@ const char* ValueTypeName(ValueType type);
 /// A typed scalar: null, bool, 64-bit int, double, or string.
 ///
 /// Ordering: values of the same numeric family (int/double) compare
-/// numerically; otherwise a total order is imposed by type rank
-/// (null < bool < number < string) so heterogeneous sorts are deterministic.
+/// numerically, with NaN equal to NaN and above every other number;
+/// otherwise a total order is imposed by type rank (null < bool < number <
+/// string) so heterogeneous sorts are deterministic.
 class Value {
  public:
   /// Null value.

@@ -1,6 +1,7 @@
 #include "xmlql/parser.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 #include "common/strings.h"
@@ -98,9 +99,9 @@ class Parser {
         ++pos_;
       }
       if (pos_ == start) return Error("expected integer after LIMIT");
-      query.limit = std::strtoll(
-          std::string(input_.substr(start, pos_ - start)).c_str(), nullptr,
-          10);
+      NIMBLE_ASSIGN_OR_RETURN(
+          query.limit,
+          ParseInt(std::string(input_.substr(start, pos_ - start))));
     }
     NIMBLE_RETURN_IF_ERROR(Validate(query));
     return query;
@@ -187,6 +188,17 @@ class Parser {
     return out;
   }
 
+  /// An integer literal's value; one outside int64 is an error, never a
+  /// clamped value.
+  Result<int64_t> ParseInt(const std::string& text) {
+    errno = 0;
+    const long long v = std::strtoll(text.c_str(), nullptr, 10);
+    if (errno == ERANGE) {
+      return Error("integer literal " + text + " out of range");
+    }
+    return static_cast<int64_t>(v);
+  }
+
   Result<Value> ParseLiteral() {
     SkipWhitespace();
     char c = Peek();
@@ -206,7 +218,8 @@ class Parser {
       }
       std::string text(input_.substr(start, pos_ - start));
       if (is_float) return Value::Double(std::strtod(text.c_str(), nullptr));
-      return Value::Int(std::strtoll(text.c_str(), nullptr, 10));
+      NIMBLE_ASSIGN_OR_RETURN(int64_t v, ParseInt(text));
+      return Value::Int(v);
     }
     if (ConsumeWord("true")) return Value::Bool(true);
     if (ConsumeWord("false")) return Value::Bool(false);

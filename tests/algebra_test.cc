@@ -91,10 +91,9 @@ TEST(TupleBatchTest, AppendCopiesExactlyTheActiveRowsInOrder) {
   odd.lhs.is_variable = true;
   odd.lhs.variable = "k";
   odd.rhs.literal = Value::Int(2);
-  Result<BoundCondition> bc =
-      BoundCondition::Bind(odd, TupleSchema({"k", "v"}));
+  Result<BoundExpr> bc = BindCondition(odd, TupleSchema({"k", "v"}));
   ASSERT_TRUE(bc.ok());
-  ApplyConditions({*bc}, &filtered);  // rows 0, 1, 3, 4
+  ASSERT_TRUE(ApplyPredicates({*bc}, &filtered).ok());  // rows 0, 1, 3, 4
   TupleBatch reordered = source.Select({4, 0});
 
   TupleBatch out(2);
@@ -210,7 +209,7 @@ TEST(OperatorTest, FilterKeepsPassing) {
   cond.lhs.is_variable = true;
   cond.lhs.variable = "x";
   cond.rhs.literal = Value::Int(3);
-  Result<BoundCondition> bc = BoundCondition::Bind(cond, scan->schema());
+  Result<BoundExpr> bc = BindCondition(cond, scan->schema());
   ASSERT_TRUE(bc.ok());
   Filter filter(std::move(scan), {*bc});
   Result<TupleBatch> out = filter.Drain();
@@ -293,9 +292,13 @@ TEST(OperatorTest, NestedLoopJoinCartesianWithCondition) {
   cond.lhs.variable = "a";
   cond.rhs.is_variable = true;
   cond.rhs.variable = "b";
-  Result<BoundCondition> bc = BoundCondition::Bind(cond, joined);
+  Result<BoundExpr> bc = BindCondition(cond, joined);
   ASSERT_TRUE(bc.ok());
-  NestedLoopJoin join(std::move(left), std::move(right), {*bc});
+  // The condition is a Filter over the cartesian join, as both planners
+  // build it.
+  Filter join(
+      std::make_unique<NestedLoopJoin>(std::move(left), std::move(right)),
+      {*bc});
   Result<TupleBatch> out = join.Drain();
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->size(), 2u);  // (1,2), (1,4)

@@ -25,7 +25,7 @@ constexpr size_t kBatchSizes[] = {1, 3, 1024};
 
 // ---- Hand-built plan shapes (the algebra_test menagerie) -----------------
 
-using algebra::BoundCondition;
+using algebra::BoundExpr;
 using algebra::Operator;
 using algebra::TupleBatch;
 using algebra::TupleSchema;
@@ -74,10 +74,10 @@ std::unique_ptr<Operator> ShapeFilter() {
   auto scan = ShapeScan();
   xmlql::Condition cond =
       MakeCondition("x", xmlql::Condition::Op::kGt, Value::Int(3));
-  Result<BoundCondition> bc = BoundCondition::Bind(cond, scan->schema());
+  Result<BoundExpr> bc = algebra::BindCondition(cond, scan->schema());
   EXPECT_TRUE(bc.ok());
-  return std::make_unique<algebra::Filter>(
-      std::move(scan), std::vector<BoundCondition>{*bc});
+  return std::make_unique<algebra::Filter>(std::move(scan),
+                                           std::vector<BoundExpr>{*bc});
 }
 
 std::unique_ptr<Operator> ShapeHashJoin() {
@@ -103,10 +103,13 @@ std::unique_ptr<Operator> ShapeNestedLoopJoin() {
   cond.lhs.variable = "a";
   cond.rhs.is_variable = true;
   cond.rhs.variable = "b";
-  Result<BoundCondition> bc = BoundCondition::Bind(cond, joined);
+  Result<BoundExpr> bc = algebra::BindCondition(cond, joined);
   EXPECT_TRUE(bc.ok());
-  return std::make_unique<algebra::NestedLoopJoin>(
-      std::move(left), std::move(right), std::vector<BoundCondition>{*bc});
+  // A non-equi condition is a Filter over the cartesian join.
+  return std::make_unique<algebra::Filter>(
+      std::make_unique<algebra::NestedLoopJoin>(std::move(left),
+                                                std::move(right)),
+      std::vector<BoundExpr>{*bc});
 }
 
 std::unique_ptr<Operator> ShapeSort() {
@@ -144,10 +147,10 @@ std::unique_ptr<Operator> ShapeComposite() {
   auto join = ShapeHashJoin();
   xmlql::Condition cond =
       MakeCondition("l", xmlql::Condition::Op::kLt, Value::Int(10));
-  Result<BoundCondition> bc = BoundCondition::Bind(cond, join->schema());
+  Result<BoundExpr> bc = algebra::BindCondition(cond, join->schema());
   EXPECT_TRUE(bc.ok());
-  auto filter = std::make_unique<algebra::Filter>(
-      std::move(join), std::vector<BoundCondition>{*bc});
+  auto filter = std::make_unique<algebra::Filter>(std::move(join),
+                                                  std::vector<BoundExpr>{*bc});
   auto sort = std::make_unique<algebra::Sort>(
       std::move(filter), std::vector<algebra::Sort::Key>{{0, false}});
   return std::make_unique<algebra::Limit>(std::move(sort), 7);

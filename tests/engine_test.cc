@@ -436,6 +436,45 @@ TEST_F(EngineTest, SumOfLargeIntsIsExact) {
   EXPECT_EQ(qr.document->children()[0]->ScalarValue(), Value::Double(4.5));
 }
 
+// The XML text "nan" is a Double NaN, which has one place in Value's order:
+// equal to NaN, above every other number. ORDER BY over it is sorted, a
+// filter `$v = 5` excludes it, and a cross condition pairs it with no
+// number.
+TEST_F(EngineTest, NanSortsAboveEveryNumberAndEqualsNone) {
+  auto nums = std::make_unique<connector::XmlConnector>("nums");
+  std::string vs = "<vs>";
+  for (const char* v : {"5", "3", "-1", "9", "nan", "2", "7", "8"}) {
+    vs += std::string("<r><v>") + v + "</v></r>";
+  }
+  Must(nums->PutDocumentText("vs", vs + "</vs>"));
+  Must(nums->PutDocumentText("ws", "<ws><r><w>5</w></r><r><w>7</w></r></ws>"));
+  Must(catalog_->RegisterSource(std::move(nums)));
+  Rebuild(BaseOptions());
+  auto values = [](const QueryResult& qr) {
+    std::string out;
+    for (const NodePtr& child : qr.document->children()) {
+      out += child->ScalarValue().ToString() + " ";
+    }
+    return out;
+  };
+  EXPECT_EQ(values(Run(R"(
+    WHERE <vs><r><v>$v</v></r></vs> IN "nums:vs"
+    CONSTRUCT <o>$v</o> ORDER BY $v
+  )")),
+            "-1 2 3 5 7 8 9 nan ");
+  EXPECT_EQ(values(Run(R"(
+    WHERE <vs><r><v>$v</v></r></vs> IN "nums:vs", $v = 5
+    CONSTRUCT <o>$v</o>
+  )")),
+            "5 ");
+  EXPECT_EQ(values(Run(R"(
+    WHERE <vs><r><v>$v</v></r></vs> IN "nums:vs",
+          <ws><r><w>$w</w></r></ws> IN "nums:ws", $v = $w
+    CONSTRUCT <o>$v</o> ORDER BY $v
+  )")),
+            "5 7 ");
+}
+
 TEST_F(EngineTest, AggregationOverJoin) {
   QueryResult qr = Run(R"(
     WHERE <customers><row><id>$i</id><segment>$s</segment></row></customers>

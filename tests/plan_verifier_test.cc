@@ -145,6 +145,30 @@ TEST_F(PlanVerifierTest, IntactFragmentationPasses) {
   EXPECT_TRUE(VerifyFragmentation(query, frag, *catalog_).ok());
 }
 
+// A negative literal pushed to a SQL source reparses as the same literal:
+// the SQL parser reads `-5` as Int(-5), not as minus applied to 5, and a
+// double keeps its type (-0.0 prints "-0.0", not "-0").
+TEST_F(PlanVerifierTest, NegativeLiteralOnSqlSourceRoundTrips) {
+  for (const char* literal : {"-5", "-9223372036854775808", "-2.5", "-0.0",
+                              "-100000000000000000000000.0"}) {
+    xmlql::Query query =
+        Parse(std::string("WHERE <t><row><a>$a</a><b>$b</b></row></t> "
+                          "IN \"db:t\", $a > ") +
+              literal + " CONSTRUCT <out>$b</out>");
+    Fragmentation frag = FragmentQuery(query);
+    Status s = VerifyFragmentation(query, frag, *catalog_);
+    EXPECT_TRUE(s.ok()) << literal << ": " << s.ToString();
+  }
+  EngineOptions opts;
+  opts.verify_plans = true;
+  IntegrationEngine engine(catalog_.get(), opts);
+  Result<QueryResult> r = engine.ExecuteText(
+      "WHERE <t><row><a>$a</a><b>$b</b></row></t> IN \"db:t\", $a > -5 "
+      "CONSTRUCT <out>$b</out>");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->report.result_count, 2u);
+}
+
 TEST_F(PlanVerifierTest, F1_DroppedPatternDetected) {
   xmlql::Query query = Parse(kTwoSourceQuery);
   Fragmentation frag = FragmentQuery(query);

@@ -98,12 +98,17 @@ struct BoundVar {
   char type;  // 'i' int, 's' string, 'd' double
 };
 
+/// Signed literals: a negative number is the literal a pushed SQL text can
+/// mistranslate (as minus applied to a literal), and int64's minimum the
+/// one whose magnitude does not fit int64.
 inline std::string Literal(Rng& rng, char type) {
   switch (type) {
     case 'i':
-      return std::to_string(rng.UniformInt(0, 5));
+      if (rng.Bernoulli(0.05)) return "-9223372036854775808";
+      return std::to_string(rng.UniformInt(-5, 5));
     case 'd':
-      return std::to_string(rng.UniformInt(0, 9)) + "." +
+      return (rng.Bernoulli(0.5) ? "-" : "") +
+             std::to_string(rng.UniformInt(0, 9)) + "." +
              std::to_string(rng.UniformInt(0, 9));
     default: {
       static const char* kWords[] = {"alpha", "beta", "gamma", "delta", "zz"};

@@ -56,6 +56,18 @@ TEST_F(RelationalEdgeTest, DivisionByZeroIsAnError) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(ExecError("SELECT a % 0 FROM t WHERE a = 1").code(),
             StatusCode::kInvalidArgument);
+  // A zero divisor is an error for '%' over doubles too, never NaN.
+  for (const char* sql : {"SELECT 5.5 % 0 FROM t WHERE a = 1",
+                          "SELECT 5.5 % 0.0 FROM t WHERE a = 1",
+                          "SELECT a % 0.0 FROM t WHERE a = 1",
+                          "SELECT b % 0 FROM t WHERE a = 1"}) {
+    Status s = ExecError(sql);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << sql;
+    EXPECT_NE(s.message().find("modulo by zero"), std::string::npos)
+        << sql << ": " << s.ToString();
+  }
+  EXPECT_EQ(Exec("SELECT 5.5 % 2 FROM t WHERE a = 1").rows[0][0],
+            Value::Double(1.5));
 }
 
 TEST_F(RelationalEdgeTest, StringConcatenationViaPlus) {

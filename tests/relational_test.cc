@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 
 #include "relational/database.h"
 #include "relational/sql_ast.h"
@@ -531,13 +532,16 @@ INSTANTIATE_TEST_SUITE_P(
         "SELECT a FROM t ORDER BY a DESC LIMIT 5",
         "SELECT t.a, u.b FROM t JOIN u ON t.a = u.a WHERE t.a LIKE 'x%'",
         "SELECT DISTINCT a FROM t WHERE a IS NOT NULL",
-        "SELECT a + b * 2 FROM t WHERE NOT (a = 1 OR b = 2)"));
+        "SELECT a + b * 2 FROM t WHERE NOT (a = 1 OR b = 2)",
+        "SELECT -(-5), a - -2.5 FROM t WHERE a > -5 AND b = -0.0"));
 
 // A double literal prints with the fewest significant digits, from 12 up
 // to 17, that parse back to the same double: pushed predicates and
 // bind-join IN lists select exactly the value they came from.
 TEST(SqlQuoteTest, DoublesParseBackToTheSameValue) {
-  EXPECT_EQ(SqlQuote(Value::Double(25.0)), "25");
+  // Bare digits keep a ".0": "25" would reparse as Int(25), "-0" as Int(0).
+  EXPECT_EQ(SqlQuote(Value::Double(25.0)), "25.0");
+  EXPECT_EQ(SqlQuote(Value::Double(-0.0)), "-0.0");
   EXPECT_EQ(SqlQuote(Value::Double(3.5)), "3.5");
   EXPECT_EQ(SqlQuote(Value::Double(1700000000.123)), "1700000000.123");
   EXPECT_EQ(SqlQuote(Value::Double(0.1 + 0.2)), "0.30000000000000004");
@@ -633,6 +637,76 @@ TEST_F(RelationalTest, InListCombinesWithOtherPredicates) {
   ResultSet rs = Exec(
       "SELECT name FROM customers WHERE id IN (1, 2, 3) AND balance > 50");
   EXPECT_EQ(rs.rows.size(), 2u);  // Ada, Cleo
+}
+
+// ---- Literals survive the SQL text they are pushed as -----------------------
+
+TEST_F(RelationalTest, IntegerLiteralsCoverInt64AndNoMore) {
+  Exec("CREATE TABLE ti (id INT, v INT)");
+  Exec("INSERT INTO ti VALUES (1, -9223372036854775808), "
+       "(2, 9223372036854775807), (3, -5)");
+  ResultSet min = Exec("SELECT id, v FROM ti WHERE v = -9223372036854775808");
+  ASSERT_EQ(min.rows.size(), 1u);
+  EXPECT_EQ(min.rows[0][0], Value::Int(1));
+  EXPECT_TRUE(min.rows[0][1].is_int());
+  EXPECT_EQ(min.rows[0][1].AsInt(), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(
+      Exec("SELECT id FROM ti WHERE v < -9223372036854775807").rows.size(),
+      1u);
+  // Beyond int64 is a parse error, never a clamped value.
+  EXPECT_EQ(ExecError("SELECT id FROM ti WHERE v = 9223372036854775808").code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(
+      ExecError("SELECT id FROM ti WHERE v = -9223372036854775809").code(),
+      StatusCode::kParseError);
+  EXPECT_EQ(ExecError("INSERT INTO ti VALUES (4, 99999999999999999999)").code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(ExecError("SELECT id FROM ti WHERE v IN (9223372036854775808)")
+                .code(),
+            StatusCode::kParseError);
+  // Minus over a parenthesized literal is arithmetic: -(2^63) overflows.
+  EXPECT_EQ(
+      ExecError("SELECT id FROM ti WHERE v = -(9223372036854775808)").code(),
+      StatusCode::kParseError);
+}
+
+TEST_F(RelationalTest, NegativeKeyUsesTheIndex) {
+  Exec("CREATE TABLE t (k INT, v INT)");
+  Exec("CREATE INDEX idx_k ON t (k)");
+  for (int i = 0; i < 100; ++i) {
+    Exec("INSERT INTO t VALUES (" + std::to_string(i - 50) + ", " +
+         std::to_string(i) + ")");
+  }
+  for (const char* sql : {"SELECT v FROM t WHERE k = -5",
+                          "SELECT v FROM t WHERE -5 = k",
+                          "SELECT v FROM t WHERE k IN (-5)"}) {
+    ResultSet rs = Exec(sql);
+    EXPECT_TRUE(rs.stats.used_index) << sql;
+    EXPECT_EQ(rs.stats.rows_scanned, 1u) << sql;
+    ASSERT_EQ(rs.rows.size(), 1u) << sql;
+    EXPECT_EQ(rs.rows[0][0], Value::Int(45)) << sql;
+  }
+  ResultSet range = Exec("SELECT v FROM t WHERE k >= -2 AND k < 0");
+  EXPECT_TRUE(range.stats.used_index);
+  EXPECT_EQ(range.stats.rows_scanned, 2u);
+}
+
+TEST(SqlLiteralTest, MinusOverANegativeLiteralNeverPrintsACommentMarker) {
+  Result<SqlStatement> parsed = ParseSql("SELECT -(-5) AS x FROM t");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const std::string sql = std::get<SelectStmt>(*parsed).ToSql();
+  EXPECT_EQ(sql.find("--"), std::string::npos) << sql;
+  Result<SqlStatement> reparsed = ParseSql(sql);
+  ASSERT_TRUE(reparsed.ok()) << sql << " -> " << reparsed.status().ToString();
+  EXPECT_EQ(std::get<SelectStmt>(*reparsed).ToSql(), sql);
+
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (a INT)").ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (1)").ok());
+  Result<ResultSet> rs = db.Execute(sql);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  ASSERT_EQ(rs->rows.size(), 1u);
+  EXPECT_EQ(rs->rows[0][0], Value::Int(5));
 }
 
 }  // namespace

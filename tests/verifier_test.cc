@@ -73,13 +73,11 @@ class ExtraChildScan : public MaterializedScan {
 
 TEST(VerifierTest, ValidPlanPasses) {
   auto join = std::make_unique<HashJoin>(Scan({"a", "b"}), Scan({"b", "c"}));
-  BoundCondition cond;
-  cond.op = xmlql::Condition::Op::kGt;
-  cond.lhs_slot = 0;
-  cond.rhs_slot = -1;
-  cond.rhs_literal = Value::Int(1);
+  BoundExpr cond = BoundExpr::Call(
+      BoundExpr::Op::kGt,
+      {BoundExpr::Slot(0), BoundExpr::Literal(Value::Int(1))});
   auto filter =
-      std::make_unique<Filter>(std::move(join), std::vector<BoundCondition>{cond});
+      std::make_unique<Filter>(std::move(join), std::vector<BoundExpr>{cond});
   auto sort = std::make_unique<Sort>(
       std::move(filter), std::vector<Sort::Key>{Sort::Key{2, true}});
   auto limit = std::make_unique<Limit>(std::move(sort), 10);
@@ -136,12 +134,26 @@ TEST(VerifierTest, I3_FilterSchemaDiffersFromChild) {
 // ---- I4: condition / sort-key slot ranges --------------------------------
 
 TEST(VerifierTest, I4_FilterConditionSlotOutOfRange) {
-  BoundCondition cond;
-  cond.lhs_slot = 5;  // child arity is 1
-  cond.rhs_slot = -1;
-  cond.rhs_literal = Value::Int(1);
+  BoundExpr cond = BoundExpr::Call(
+      BoundExpr::Op::kEq,
+      {BoundExpr::Slot(5), BoundExpr::Literal(Value::Int(1))});  // arity 1
   Filter filter(Scan({"a"}), {cond});
   ExpectViolation(VerifyPlan(filter), "slot 5");
+}
+
+TEST(VerifierTest, I4_SlotOutOfRangeInsideNestedExpression) {
+  // (a = 1) AND NOT (abs(slot 9) > 2): the bad slot sits three levels down.
+  using Op = BoundExpr::Op;
+  BoundExpr inner = BoundExpr::Call(
+      Op::kGt, {BoundExpr::Call(Op::kAbs, {BoundExpr::Slot(9)}),
+                BoundExpr::Literal(Value::Int(2))});
+  BoundExpr cond = BoundExpr::Call(
+      Op::kAnd,
+      {BoundExpr::Call(Op::kEq,
+                       {BoundExpr::Slot(0), BoundExpr::Literal(Value::Int(1))}),
+       BoundExpr::Call(Op::kNot, {std::move(inner)})});
+  Filter filter(Scan({"a"}), {cond});
+  ExpectViolation(VerifyPlan(filter), "slot 9");
 }
 
 TEST(VerifierTest, I4_SortKeySlotOutOfRange) {
@@ -149,21 +161,10 @@ TEST(VerifierTest, I4_SortKeySlotOutOfRange) {
   ExpectViolation(VerifyPlan(sort), "sort key slot 7");
 }
 
-TEST(VerifierTest, I4_NestedLoopConditionSlotOutOfRange) {
-  BoundCondition cond;
-  cond.lhs_slot = 10;  // output arity is 2
-  cond.rhs_slot = -1;
-  cond.rhs_literal = Value::Int(1);
-  NestedLoopJoin join(Scan({"a"}), Scan({"b"}), {cond});
-  ExpectViolation(VerifyPlan(join), "slot 10");
-}
-
 TEST(VerifierTest, I4_LikeWithNonStringLiteral) {
-  BoundCondition cond;
-  cond.op = xmlql::Condition::Op::kLike;
-  cond.lhs_slot = 0;
-  cond.rhs_slot = -1;
-  cond.rhs_literal = Value::Int(42);
+  BoundExpr cond = BoundExpr::Call(
+      BoundExpr::Op::kLike,
+      {BoundExpr::Slot(0), BoundExpr::Literal(Value::Int(42))});
   Filter filter(Scan({"a"}), {cond});
   ExpectViolation(VerifyPlan(filter), "LIKE pattern");
 }
@@ -250,7 +251,7 @@ TEST(VerifierTest, I11_BatchSizeDisagreesWithChild) {
 }
 
 TEST(VerifierTest, I11_UniformBatchSizePasses) {
-  auto filter = std::make_unique<Filter>(Scan({"a"}), std::vector<BoundCondition>{});
+  auto filter = std::make_unique<Filter>(Scan({"a"}), std::vector<BoundExpr>{});
   filter->SetBatchSize(7);  // propagates to the scan
   EXPECT_TRUE(VerifyPlan(*filter).ok());
 }

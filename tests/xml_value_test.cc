@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "xml/value.h"
 
 namespace nimble {
@@ -104,6 +109,36 @@ TEST(ValueTest, RoundTripInferToString) {
     Value v = Value::Infer(text);
     EXPECT_EQ(Value::Infer(v.ToString()), v) << text;
   }
+}
+
+// NaN (the XML text "nan" infers to one) equals NaN and sorts above every
+// other number, so the order stays total: sorts are sorted, NaN = 5 is
+// false, and every NaN hashes alike.
+TEST(ValueTest, NanHasOnePlaceInTheOrder) {
+  const Value nan = Value::Infer("nan");
+  ASSERT_TRUE(nan.is_double());
+  const Value other_nan = Value::Double(-std::nan(""));
+  EXPECT_EQ(nan.Compare(other_nan), 0);
+  EXPECT_EQ(nan.Hash(), other_nan.Hash());
+  for (const Value& number :
+       {Value::Int(5), Value::Int(std::numeric_limits<int64_t>::max()),
+        Value::Double(std::numeric_limits<double>::infinity()),
+        Value::Double(-1.5), Value::Double(0.0)}) {
+    EXPECT_GT(nan.Compare(number), 0) << number.ToString();
+    EXPECT_LT(number.Compare(nan), 0) << number.ToString();
+    EXPECT_NE(nan, number) << number.ToString();
+  }
+  // Still a number: above bool, below string.
+  EXPECT_GT(nan.Compare(Value::Bool(true)), 0);
+  EXPECT_LT(nan.Compare(Value::String("")), 0);
+
+  std::vector<Value> values = {Value::Int(5),  Value::Int(3), Value::Int(-1),
+                               Value::Int(9),  nan,           Value::Int(2),
+                               Value::Int(7),  Value::Int(8)};
+  std::sort(values.begin(), values.end());
+  std::string order;
+  for (const Value& v : values) order += v.ToString() + " ";
+  EXPECT_EQ(order, "-1 2 3 5 7 8 9 nan ");
 }
 
 class ValueOrderProperty : public ::testing::TestWithParam<int> {};

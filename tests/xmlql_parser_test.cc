@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "xmlql/parser.h"
 
 namespace nimble {
@@ -84,6 +86,35 @@ TEST(XmlQlParserTest, LiteralTypes) {
   EXPECT_EQ(q.conditions[3].rhs.literal, Value::String("str"));
   EXPECT_EQ(q.conditions[4].rhs.literal, Value::Bool(true));
   EXPECT_TRUE(q.conditions[5].rhs.literal.is_null());
+}
+
+// An integer literal must fit int64: INT64_MIN parses exactly, anything
+// beyond is a parse error instead of a value strtoll clamped.
+TEST(XmlQlParserTest, IntegerLiteralsMustFitInt64) {
+  Query q = MustParse(R"(
+    WHERE <d><i><a>$a</a></i></d> IN "s:d",
+          $a = -9223372036854775808, $a = 9223372036854775807
+    CONSTRUCT <o>$a</o>
+  )");
+  EXPECT_EQ(q.conditions[0].rhs.literal,
+            Value::Int(std::numeric_limits<int64_t>::min()));
+  EXPECT_EQ(q.conditions[1].rhs.literal,
+            Value::Int(std::numeric_limits<int64_t>::max()));
+  for (const char* literal : {"9223372036854775808", "-9223372036854775809",
+                              "99999999999999999999"}) {
+    Result<Query> bad = ParseQuery(
+        std::string("WHERE <d><i><a>$a</a></i></d> IN \"s:d\", $a = ") +
+        literal + " CONSTRUCT <o>$a</o>");
+    ASSERT_FALSE(bad.ok()) << literal;
+    EXPECT_EQ(bad.status().code(), StatusCode::kParseError) << literal;
+    EXPECT_NE(bad.status().message().find("out of range"), std::string::npos)
+        << bad.status().ToString();
+  }
+  Result<Query> limit = ParseQuery(
+      "WHERE <d><i><a>$a</a></i></d> IN \"s:d\" CONSTRUCT <o>$a</o> "
+      "LIMIT 99999999999999999999");
+  ASSERT_FALSE(limit.ok());
+  EXPECT_EQ(limit.status().code(), StatusCode::kParseError);
 }
 
 TEST(XmlQlParserTest, DescendantAndWildcardAndElementAs) {
