@@ -116,16 +116,6 @@ std::vector<std::string> ConstructInputs(const xmlql::Query& query) {
   return required;
 }
 
-Status InstantiateBatch(const xmlql::TemplateNode& tmpl,
-                        const TupleSchema& schema, const TupleBatch& batch,
-                        Node* parent) {
-  for (size_t i = 0; i < batch.size(); ++i) {
-    NIMBLE_RETURN_IF_ERROR(
-        InstantiateInto(tmpl, schema, batch, batch.PhysicalRow(i), parent));
-  }
-  return Status::OK();
-}
-
 Result<NodePtr> ConstructResult(Operator* plan, const xmlql::TemplateNode& tmpl,
                                 const std::string& root_name) {
   NodePtr root = Node::Element(root_name);
@@ -133,8 +123,10 @@ Result<NodePtr> ConstructResult(Operator* plan, const xmlql::TemplateNode& tmpl,
   while (true) {
     NIMBLE_ASSIGN_OR_RETURN(std::optional<TupleBatch> batch, plan->NextBatch());
     if (!batch.has_value()) break;
-    NIMBLE_RETURN_IF_ERROR(
-        InstantiateBatch(tmpl, plan->schema(), *batch, root.get()));
+    for (size_t i = 0; i < batch->size(); ++i) {
+      NIMBLE_RETURN_IF_ERROR(InstantiateInto(
+          tmpl, plan->schema(), *batch, batch->PhysicalRow(i), root.get()));
+    }
   }
   plan->Close();
   return root;

@@ -27,17 +27,11 @@ Result<std::vector<HashAggregate::Spec>> AggregateSpecs(
 /// keys the template uses plus the aggregate outputs.
 std::vector<std::string> ConstructInputs(const xmlql::Query& query);
 
-/// Instantiates a CONSTRUCT template once per active row of `batch`,
-/// appending the instances to `parent` in row order. Bindings are read in
-/// place. Scalar variables become typed text; node-valued bindings are
-/// deep-cloned into place (ELEMENT_AS re-publication).
-Status InstantiateBatch(const xmlql::TemplateNode& tmpl,
-                        const TupleSchema& schema, const TupleBatch& batch,
-                        Node* parent);
-
 /// Drains `plan` and instantiates the template per tuple, collecting the
-/// instances under a root element named `root_name`. This is the top of
-/// every physical plan.
+/// instances under a root element named `root_name` in row order. Bindings
+/// are read in place: scalar variables become typed text; node-valued
+/// bindings are deep-cloned into place (ELEMENT_AS re-publication). This
+/// is the top of every physical plan.
 Result<NodePtr> ConstructResult(Operator* plan,
                                 const xmlql::TemplateNode& tmpl,
                                 const std::string& root_name = "results");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <functional>
 #include <unordered_set>
 
@@ -33,6 +34,26 @@ void AddUnique(std::vector<std::string>* list, const std::string& item) {
   if (std::find(list->begin(), list->end(), item) == list->end()) {
     list->push_back(item);
   }
+}
+
+/// Folds the report of one fragment evaluated elsewhere — a mediated view,
+/// or gathered shard answers — into the query: its sources and
+/// completeness into the fragment-local `report` (incompleteness taints
+/// this query too), its costs into `ctx` as one fetched fragment.
+void FoldFragmentReport(const ExecutionReport& done, ExecutionReport* report,
+                        ExecutionContext& ctx) {
+  for (const std::string& src : done.sources_contacted) {
+    AddUnique(&report->sources_contacted, src);
+  }
+  if (!done.completeness.complete) report->completeness.complete = false;
+  for (const std::string& src : done.completeness.unavailable_sources) {
+    AddUnique(&report->completeness.unavailable_sources, src);
+  }
+  ctx.AddRowsShipped(done.rows_shipped);
+  ctx.AddLatency(done.source_latency_micros);
+  ctx.AddRetries(done.retries);
+  ctx.AddFragment(/*pushed_down=*/false, /*hit_index=*/false,
+                  /*bind_joined=*/false);
 }
 
 /// The availability policy for a branch that failed with `status` while
@@ -268,11 +289,43 @@ Result<QueryResult> IntegrationEngine::ExecuteTextNow(
     int64_t queue_wait_micros, const std::atomic<bool>* handle_cancel) {
   NIMBLE_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledProgram> compiled,
                           GetOrCompile(xmlql_text));
+  return ExecuteCompiled(*compiled, query_options, {}, queue_wait_micros,
+                         handle_cancel);
+}
+
+Result<QueryResult> IntegrationEngine::Execute(
+    const CompiledProgram& compiled, const QueryOptions& query_options,
+    const std::vector<std::optional<GatheredFragment>>& gathered) {
+  if (!gathered.empty() &&
+      gathered.size() != compiled.program.branches.size()) {
+    return Status::InvalidArgument("gathered fragments must line up with "
+                                   "the program's branches");
+  }
+  if (scheduler_ == nullptr) {
+    return ExecuteCompiled(compiled, query_options, gathered, 0, nullptr);
+  }
+  // Admitted as ExecuteText is. This thread waits for the handle, and a
+  // dropped submission never runs, so the references outlive the run.
+  QueryHandlePtr handle = SubmitQuery(
+      [this, &compiled, &query_options, &gathered](
+          int64_t queue_wait_micros, const std::atomic<bool>* handle_cancel) {
+        return ExecuteCompiled(compiled, query_options, gathered,
+                               queue_wait_micros, handle_cancel);
+      },
+      query_options);
+  return handle->Wait();
+}
+
+Result<QueryResult> IntegrationEngine::ExecuteCompiled(
+    const CompiledProgram& compiled, const QueryOptions& query_options,
+    const std::vector<std::optional<GatheredFragment>>& gathered,
+    int64_t queue_wait_micros, const std::atomic<bool>* handle_cancel) {
   queries_served_.fetch_add(1, std::memory_order_relaxed);
   ExecutionContext ctx =
       NewContext(query_options, queue_wait_micros, handle_cancel);
-  Result<QueryResult> result = ExecuteInternal(
-      compiled->program, compiled->fragmentations, query_options, 0, ctx);
+  Result<QueryResult> result =
+      ExecuteInternal(compiled.program, compiled.fragmentations, gathered,
+                      query_options, 0, ctx);
   if (result.ok()) ctx.FillReport(&result->report);
   return result;
 }
@@ -347,6 +400,7 @@ Result<QueryResult> IntegrationEngine::ExecuteBindingsNow(
 Result<QueryResult> IntegrationEngine::ExecuteInternal(
     const xmlql::Program& program,
     const std::vector<Fragmentation>& fragmentations,
+    const std::vector<std::optional<GatheredFragment>>& gathered,
     const QueryOptions& query_options, int view_depth, ExecutionContext& ctx) {
   if (view_depth > options_.max_view_depth) {
     return Status::InvalidArgument("mediated view nesting exceeds depth " +
@@ -368,9 +422,12 @@ Result<QueryResult> IntegrationEngine::ExecuteInternal(
   std::vector<Status> branch_status(num_branches, Status::OK());
 
   auto run_branch = [&](size_t i) {
-    branch_status[i] =
-        ExecuteBranch(program.branches[i], fragmentations[i], query_options,
-                      view_depth, &branch_roots[i], &branch_reports[i], ctx);
+    const GatheredFragment* from =
+        i < gathered.size() && gathered[i].has_value() ? &*gathered[i]
+                                                       : nullptr;
+    branch_status[i] = ExecuteBranch(program.branches[i], fragmentations[i],
+                                     from, query_options, view_depth,
+                                     &branch_roots[i], &branch_reports[i], ctx);
   };
   if (options_.parallel_fetch && num_branches > 1) {
     std::vector<std::function<void()>> tasks;
@@ -439,8 +496,10 @@ Result<QueryResult> IntegrationEngine::ExecuteInternal(
 void IntegrationEngine::HarvestBindValues(
     const FragmentResult& fr,
     std::map<std::string, std::vector<Value>>* bind_values) const {
-  // Distinct values for future bind joins (scalar bindings only; node
-  // bindings join by deep equality, which IN cannot express).
+  // Distinct values for future bind joins: scalar bindings only (node
+  // bindings join by deep equality, which IN cannot express), and finite
+  // ones (SQL has no literal for NaN or an infinity; the mediator's join
+  // matches those keys).
   for (const std::string& var : fr.schema.variables()) {
     if (bind_values->count(var) > 0) continue;
     size_t slot = *fr.schema.SlotOf(var);
@@ -449,11 +508,12 @@ void IntegrationEngine::HarvestBindValues(
     bool usable = true;
     for (size_t i = 0; i < fr.data.size(); ++i) {
       const algebra::Binding& binding = fr.data.binding(slot, i);
-      if (binding.is_node()) {
+      const Value& v = binding.AsScalar();
+      if (binding.is_node() ||
+          (v.is_double() && !std::isfinite(v.AsDouble()))) {
         usable = false;
         break;
       }
-      const Value& v = binding.AsScalar();
       if (seen.insert(v).second) distinct.push_back(v);
       if (distinct.size() > options_.bind_join_limit) {
         usable = false;
@@ -466,11 +526,21 @@ void IntegrationEngine::HarvestBindValues(
 
 Status IntegrationEngine::ExecuteBranch(const xmlql::Query& query,
                                         const Fragmentation& fragmentation,
+                                        const GatheredFragment* gathered,
                                         const QueryOptions& query_options,
                                         int view_depth, NodePtr* out_root,
                                         ExecutionReport* report,
                                         ExecutionContext& ctx) {
   const size_t num_fragments = fragmentation.fragments.size();
+  if (gathered != nullptr) {
+    if (num_fragments != 1) {
+      return Status::InvalidArgument(
+          "gathered bindings need a single-pattern branch");
+    }
+    // EXPLAIN shows where the rows came from above the plan run on them.
+    report->plan = gathered->report.plan;
+    report->plan_with_stats = gathered->report.plan_with_stats;
+  }
 
   // Dependency-aware waves: fragments that can *consume* bind-join values
   // (SQL-capable sources, when pushdown and bind joins are both on) form a
@@ -480,7 +550,8 @@ Status IntegrationEngine::ExecuteBranch(const xmlql::Query& query,
   // and fetched concurrently under parallel_fetch.
   std::vector<size_t> independent;
   std::vector<size_t> chained;
-  if (options_.enable_bind_join && options_.enable_pushdown) {
+  if (gathered == nullptr && options_.enable_bind_join &&
+      options_.enable_pushdown) {
     for (size_t i = 0; i < num_fragments; ++i) {
       const xmlql::SourceRef& ref = fragmentation.fragments[i].pattern->source;
       connector::Connector* source =
@@ -511,9 +582,13 @@ Status IntegrationEngine::ExecuteBranch(const xmlql::Query& query,
 
   auto evaluate = [&](size_t index,
                       const std::map<std::string, std::vector<Value>>* bind) {
-    Result<FragmentResult> fr = EvaluateFragment(
-        fragmentation.fragments[index], query_options, view_depth, bind,
-        top_eligible ? &top : nullptr, &fragment_reports[index], ctx);
+    Result<FragmentResult> fr =
+        gathered != nullptr
+            ? ReadGathered(*gathered, fragmentation.fragments[index],
+                           &fragment_reports[index], ctx)
+            : EvaluateFragment(fragmentation.fragments[index], query_options,
+                               view_depth, bind, top_eligible ? &top : nullptr,
+                               &fragment_reports[index], ctx);
     if (fr.ok()) {
       slots[index] = std::move(*fr);
     } else {
@@ -537,7 +612,7 @@ Status IntegrationEngine::ExecuteBranch(const xmlql::Query& query,
   }
   // Harvest in index order so the bind-value sets (and therefore the SQL
   // the chain generates) are deterministic under concurrency.
-  if (options_.enable_bind_join) {
+  if (options_.enable_bind_join && !chained.empty()) {
     for (size_t index : independent) {
       if (slots[index].has_value()) {
         HarvestBindValues(*slots[index], &bind_values);
@@ -616,7 +691,7 @@ Status IntegrationEngine::ExecuteBranch(const xmlql::Query& query,
   // cancelled or timed-out query stops draining mid-batch instead of running
   // the plan to completion (ctx outlives the drain loop below).
   (*plan)->SetCancelProbe([&ctx] { return ctx.Check(); });
-  report->plan = (*plan)->Describe();
+  report->plan += (*plan)->Describe();
 
   if (options_.verify_plans) {
     // IR invariants over the freshly built tree, then I10: the root schema
@@ -630,7 +705,7 @@ Status IntegrationEngine::ExecuteBranch(const xmlql::Query& query,
                           algebra::ConstructResult(plan->get(), *query.construct));
   // Counters survive Close(); render the executed plan with per-operator
   // batch/row production (and est_rows annotations) for EXPLAIN.
-  report->plan_with_stats = (*plan)->DescribeWithStats();
+  report->plan_with_stats += (*plan)->DescribeWithStats();
   return Status::OK();
 }
 
@@ -663,10 +738,8 @@ Result<IntegrationEngine::FragmentResult> IntegrationEngine::EvaluateFragment(
                             GetOrCompile(view->query_text));
     ExecutionContext view_ctx(ctx);
     Result<QueryResult> view_result =
-        ExecuteInternal(view_plan->program, view_plan->fragmentations,
+        ExecuteInternal(view_plan->program, view_plan->fragmentations, {},
                         query_options, view_depth + 1, view_ctx);
-    ExecutionReport nested;
-    view_ctx.FillReport(&nested);
     if (!view_result.ok()) {
       if (view_result.status().code() == StatusCode::kUnavailable) {
         // Propagate which sources were down.
@@ -676,24 +749,10 @@ Result<IntegrationEngine::FragmentResult> IntegrationEngine::EvaluateFragment(
       }
       return view_result.status();
     }
-    // Nested incompleteness taints this query too.
-    if (!view_result->report.completeness.complete) {
-      report->completeness.complete = false;
-      for (const std::string& src :
-           view_result->report.completeness.unavailable_sources) {
-        AddUnique(&report->completeness.unavailable_sources, src);
-      }
-    }
-    for (const std::string& src : view_result->report.sources_contacted) {
-      AddUnique(&report->sources_contacted, src);
-    }
-    ctx.AddRowsShipped(nested.rows_shipped);
-    ctx.AddLatency(nested.source_latency_micros);
-    ctx.AddRetries(nested.retries);
-    ctx.AddFragment(/*pushed_down=*/false, /*hit_index=*/false,
-                    /*bind_joined=*/false);
-    out.latency_micros = nested.source_latency_micros;
-    out.rows_shipped = nested.rows_shipped;
+    view_ctx.FillReport(&view_result->report);
+    FoldFragmentReport(view_result->report, report, ctx);
+    out.latency_micros = view_result->report.source_latency_micros;
+    out.rows_shipped = view_result->report.rows_shipped;
     out.schema = fragment.schema;
     NIMBLE_ASSIGN_OR_RETURN(
         out.data, algebra::MatchPattern(fragment.pattern->root,
@@ -710,21 +769,8 @@ Result<IntegrationEngine::FragmentResult> IntegrationEngine::EvaluateFragment(
   }
   AddUnique(&report->sources_contacted, source_ref.source);
 
-  // Catalog statistics for this fragment: the variable→column mapping, the
-  // cardinality estimate after local predicates, and the feedback target
-  // for executor-observed row counts (DESIGN.md §2h).
-  std::shared_ptr<const metadata::CollectionStats> col_stats;
-  if (options_.enable_cost_optimizer) {
-    out.stat_source = source_ref.source;
-    out.stat_collection = source_ref.collection;
-    out.var_columns = opt::VariableColumns(fragment.pattern->root);
-    col_stats = catalog_->statistics().Get(source_ref.source,
-                                           source_ref.collection);
-    if (col_stats != nullptr) {
-      out.est_rows = opt::EstimateFragmentRows(*col_stats, out.var_columns,
-                                               fragment.local_conditions);
-    }
-  }
+  std::shared_ptr<const metadata::CollectionStats> col_stats =
+      AttachStatistics(fragment, &out);
 
   // Per-source pushdown depth: a bind join whose IN list already covers
   // most of the target column's distinct values prunes almost nothing but
@@ -805,7 +851,7 @@ Result<IntegrationEngine::FragmentResult> IntegrationEngine::EvaluateFragment(
       for (relational::Row& row : rs->rows) {
         const size_t n = std::min(schema.size(), row.size());
         for (size_t c = 0; c < n; ++c) {
-          data.MutableColumn(c).push_back(algebra::Binding{std::move(row[c])});
+          data.MutableColumn(c).emplace_back(std::move(row[c]));
         }
         data.SetNumRows(data.num_rows() + 1);
       }
@@ -889,6 +935,43 @@ Result<IntegrationEngine::FragmentResult> IntegrationEngine::EvaluateFragment(
   ctx.AddLatency(out.latency_micros);
   ctx.AddFragment(out.pushed_down, out.hit_index, out.bind_joined);
   return out;
+}
+
+Result<IntegrationEngine::FragmentResult> IntegrationEngine::ReadGathered(
+    const GatheredFragment& gathered, const Fragment& fragment,
+    ExecutionReport* report, ExecutionContext& ctx) {
+  NIMBLE_RETURN_IF_ERROR(ctx.Check());
+  FoldFragmentReport(gathered.report, report, ctx);
+  NIMBLE_RETURN_IF_ERROR(gathered.status);
+  if (!(gathered.bindings.schema == fragment.schema)) {
+    return Status::InvalidArgument(
+        "gathered bindings do not match the fragment's variables");
+  }
+  FragmentResult out;
+  AttachStatistics(fragment, &out);
+  out.schema = gathered.bindings.schema;
+  out.data = gathered.bindings.batch;
+  out.rows_shipped = gathered.report.rows_shipped;
+  out.latency_micros = gathered.report.source_latency_micros;
+  out.label = "gather:" + fragment.pattern->source.ToString();
+  return out;
+}
+
+std::shared_ptr<const metadata::CollectionStats>
+IntegrationEngine::AttachStatistics(const Fragment& fragment,
+                                    FragmentResult* out) const {
+  if (!options_.enable_cost_optimizer) return nullptr;
+  const xmlql::SourceRef& ref = fragment.pattern->source;
+  out->stat_source = ref.source;
+  out->stat_collection = ref.collection;
+  out->var_columns = opt::VariableColumns(fragment.pattern->root);
+  std::shared_ptr<const metadata::CollectionStats> stats =
+      catalog_->statistics().Get(ref.source, ref.collection);
+  if (stats != nullptr) {
+    out->est_rows = opt::EstimateFragmentRows(*stats, out->var_columns,
+                                              fragment.local_conditions);
+  }
+  return stats;
 }
 
 Result<std::unique_ptr<algebra::Operator>> IntegrationEngine::BuildPlan(

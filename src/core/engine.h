@@ -173,6 +173,25 @@ struct Bindings {
   algebra::TupleBatch batch;
 };
 
+/// One branch's single fragment, answered elsewhere: the scatter-gather
+/// coordinator's concatenation of its shards' bindings (DESIGN.md §2i).
+/// IntegrationEngine::Execute reads it in place of evaluating the fragment
+/// and runs the rest of the branch as for any local query.
+struct GatheredFragment {
+  /// OK, or why no rows could be gathered (every shard degraded): the
+  /// branch then degrades under the availability policy like a failed
+  /// fetch.
+  Status status;
+  /// The rows, under the fragment's schema. The coordinator concatenates
+  /// them in an order that depends only on the rows, so the branch answers
+  /// alike on any shard count.
+  Bindings bindings;
+  /// What producing the rows took: rows shipped, source latency, retries,
+  /// sources contacted and completeness, plus the EXPLAIN text printed
+  /// above the branch's plan (`plan`, `plan_with_stats`).
+  ExecutionReport report;
+};
+
 /// A query answer: the constructed XML document plus its report. When the
 /// answer passed through a materialize::ResultCache (the lens cache) or
 /// was served from a materialized view's local copy, `document` is a
@@ -275,6 +294,16 @@ class IntegrationEngine {
   QueryHandlePtr SubmitBindings(std::string xmlql_text, size_t branch,
                                 const QueryOptions& query_options = {});
 
+  /// Executes a compiled program (GetOrCompile): what ExecuteText runs once
+  /// the text compiles, through the same admission control when one is
+  /// configured. `gathered` is empty or holds one entry per branch; a set
+  /// entry stands in for the fragment of that single-pattern branch, and
+  /// the rest of the branch reads its rows in the order given, as it reads
+  /// a fetched fragment's in document order.
+  Result<QueryResult> Execute(
+      const CompiledProgram& compiled, const QueryOptions& query_options,
+      const std::vector<std::optional<GatheredFragment>>& gathered = {});
+
   /// Compiled program for `text`: a plan-cache hit, or parse + fragment
   /// (and, with `verify_plans`, the static-analysis pass against this
   /// engine's catalog) — the same compile ExecuteText runs first, so a
@@ -351,14 +380,20 @@ class IntegrationEngine {
   QueryHandlePtr SubmitQuery(SubmittedQuery run,
                              const QueryOptions& query_options);
 
-  /// Synchronous execution core: the pre-scheduler ExecuteText body
-  /// (counts as a served query once the text compiles).
-  /// `queue_wait_micros` (time already spent queued) is charged against the
-  /// query deadline; `handle_cancel` is the async handle's cancel flag.
+  /// Synchronous ExecuteText body: compile, then ExecuteCompiled.
   Result<QueryResult> ExecuteTextNow(std::string_view xmlql_text,
                                      const QueryOptions& query_options,
                                      int64_t queue_wait_micros,
                                      const std::atomic<bool>* handle_cancel);
+
+  /// The one execution routine for compiled programs (Execute and
+  /// ExecuteTextNow); counts a served query. `queue_wait_micros` (time
+  /// already spent queued) is charged against the query deadline;
+  /// `handle_cancel` is the async handle's cancel flag.
+  Result<QueryResult> ExecuteCompiled(
+      const CompiledProgram& compiled, const QueryOptions& query_options,
+      const std::vector<std::optional<GatheredFragment>>& gathered,
+      int64_t queue_wait_micros, const std::atomic<bool>* handle_cancel);
 
   /// Synchronous SubmitBindings body.
   Result<QueryResult> ExecuteBindingsNow(std::string_view xmlql_text,
@@ -375,10 +410,11 @@ class IntegrationEngine {
 
   /// Executes a fragmented program (the query itself, or a mediated view
   /// it references at `view_depth` > 0). `fragmentations` lines up with
-  /// `program.branches` and points into it.
+  /// `program.branches` and points into it; `gathered` is as for Execute.
   Result<QueryResult> ExecuteInternal(
       const xmlql::Program& program,
       const std::vector<Fragmentation>& fragmentations,
+      const std::vector<std::optional<GatheredFragment>>& gathered,
       const QueryOptions& query_options, int view_depth,
       ExecutionContext& ctx);
 
@@ -386,9 +422,10 @@ class IntegrationEngine {
   /// a "results" root. Fills the branch-local `report` (ordered fields only
   /// — numeric counters go through `ctx`). `fragmentation` was compiled
   /// from `query` and may be shared across concurrent executions
-  /// (read-only).
+  /// (read-only). A non-null `gathered` is the branch's single fragment.
   Status ExecuteBranch(const xmlql::Query& query,
                        const Fragmentation& fragmentation,
+                       const GatheredFragment* gathered,
                        const QueryOptions& query_options, int view_depth,
                        NodePtr* out_root, ExecutionReport* report,
                        ExecutionContext& ctx);
@@ -404,6 +441,21 @@ class IntegrationEngine {
       const std::map<std::string, std::vector<Value>>* bind_values,
       const TopLevelPushdown* top_pushdown, ExecutionReport* report,
       ExecutionContext& ctx);
+
+  /// A gathered fragment as this branch's fragment result: its rows, its
+  /// report folded in as for a mediated view, and the collection's catalog
+  /// statistics, as a local fetch of the collection would carry.
+  Result<FragmentResult> ReadGathered(const GatheredFragment& gathered,
+                                      const Fragment& fragment,
+                                      ExecutionReport* report,
+                                      ExecutionContext& ctx);
+
+  /// Attaches the catalog statistics of `fragment`'s base collection to
+  /// `out` (DESIGN.md §2h): the variable→column mapping, the cardinality
+  /// estimate after local predicates, and the feedback target. Returns the
+  /// statistics; null when the cost optimizer is off or none exist.
+  std::shared_ptr<const metadata::CollectionStats> AttachStatistics(
+      const Fragment& fragment, FragmentResult* out) const;
 
   /// Harvests complete distinct join-key sets from `fr` for later bind
   /// joins (scalar bindings only).

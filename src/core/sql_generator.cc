@@ -1,5 +1,6 @@
 #include "core/sql_generator.h"
 
+#include <cmath>
 #include <map>
 
 #include "relational/sql_ast.h"
@@ -43,6 +44,12 @@ bool FieldIsPlain(const xmlql::ElementPattern& p) {
          p.children.empty() && p.tag != "*";
 }
 
+/// SQL has no literal for NaN or an infinity; such values are never
+/// translated.
+bool NonFinite(const Value& v) {
+  return v.is_double() && !std::isfinite(v.AsDouble());
+}
+
 }  // namespace
 
 Result<SqlTranslation> TranslateFragmentToSql(
@@ -73,6 +80,9 @@ Result<SqlTranslation> TranslateFragmentToSql(
                                  field->tag + "')");
     }
     if (field->content_literal.has_value()) {
+      if (NonFinite(*field->content_literal)) {
+        return Status::Unsupported("pattern literal has no SQL spelling");
+      }
       literal_fields.emplace_back(field->tag, *field->content_literal);
     }
     if (!field->content_variable.empty()) {
@@ -120,7 +130,10 @@ Result<SqlTranslation> TranslateFragmentToSql(
       auto translate_operand =
           [&](const xmlql::Condition::Operand& operand)
           -> std::unique_ptr<SqlExpr> {
-        if (!operand.is_variable) return SqlExpr::Literal(operand.literal);
+        if (!operand.is_variable) {
+          if (NonFinite(operand.literal)) return nullptr;
+          return SqlExpr::Literal(operand.literal);
+        }
         auto it = var_to_column.find(operand.variable);
         if (it == var_to_column.end()) return nullptr;
         return SqlExpr::ColumnRef("", it->second);

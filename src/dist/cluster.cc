@@ -2,6 +2,8 @@
 
 #include <set>
 
+#include "metadata/statistics.h"
+
 namespace nimble {
 namespace dist {
 
@@ -9,6 +11,9 @@ ShardCluster::ShardCluster(metadata::Catalog* catalog,
                            ShardClusterOptions options)
     : catalog_(catalog), options_(std::move(options)) {
   if (options_.num_shards == 0) options_.num_shards = 1;
+  for (size_t shard = 0; shard < options_.num_shards; ++shard) {
+    shard_catalogs_.push_back(std::make_unique<metadata::Catalog>());
+  }
 }
 
 ShardCluster::~ShardCluster() {
@@ -29,27 +34,33 @@ Status ShardCluster::Partition(const PartitionSpec& spec) {
   NIMBLE_ASSIGN_OR_RETURN(PartitionedCollection parts,
                           PartitionCollection(*tree, sized));
   NIMBLE_RETURN_IF_ERROR(catalog_->RegisterFragmentMap(parts.map));
-
-  std::vector<ConstNodePtr> frozen;
-  frozen.reserve(parts.fragments.size());
-  for (NodePtr& fragment : parts.fragments) frozen.push_back(fragment->Freeze());
-  registry_.Install(sized.source, sized.collection, std::move(frozen));
-
-  catalog_->statistics().Put(parts.merged_stats);
-  if (initialized_) {
-    for (size_t i = 0;
-         i < parts.fragment_stats.size() && i < shard_catalogs_.size(); ++i) {
-      shard_catalogs_[i]->statistics().Put(parts.fragment_stats[i]);
-    }
-  }
+  Install(parts.map, std::move(parts.fragments));
   return Status::OK();
+}
+
+void ShardCluster::Install(const metadata::FragmentMap& map,
+                           std::vector<NodePtr> fragments) {
+  std::vector<metadata::CollectionStats> stats;
+  stats.reserve(fragments.size());
+  std::vector<ConstNodePtr> frozen;
+  frozen.reserve(fragments.size());
+  for (NodePtr& fragment : fragments) {
+    stats.push_back(metadata::AnalyzeCollectionTree(
+        map.source, map.collection, *fragment, /*sample_rows=*/0));
+    frozen.push_back(fragment->Freeze());
+  }
+  registry_.Install(map.source, map.collection, std::move(frozen));
+  catalog_->statistics().Put(metadata::MergeCollectionStats(stats));
+  for (size_t i = 0; i < stats.size() && i < shard_catalogs_.size(); ++i) {
+    shard_catalogs_[i]->statistics().Put(std::move(stats[i]));
+  }
 }
 
 Status ShardCluster::Init() {
   if (initialized_) return Status::AlreadyExists("cluster already initialized");
 
   for (size_t shard = 0; shard < options_.num_shards; ++shard) {
-    auto shard_catalog = std::make_unique<metadata::Catalog>();
+    metadata::Catalog* shard_catalog = shard_catalogs_[shard].get();
     for (const std::string& source_name : catalog_->SourceNames()) {
       std::unique_ptr<connector::Connector> conn =
           std::make_unique<ShardSourceConnector>(
@@ -88,24 +99,11 @@ Status ShardCluster::Init() {
     }
 
     core::EngineOptions opts = options_.engine_options;
-    opts.query_deadline_micros = options_.shard_deadline_micros;
-    opts.max_inflight_queries = options_.shard_max_inflight;
     if (options_.tweak_engine_options) {
       options_.tweak_engine_options(shard, &opts);
     }
-    // Per-shard fragment statistics for the local optimizer.
-    for (const metadata::FragmentMap* map : catalog_->FragmentMaps()) {
-      ConstNodePtr fragment =
-          registry_.Get(map->source, map->collection, shard);
-      if (fragment != nullptr) {
-        shard_catalog->statistics().Put(metadata::AnalyzeCollectionTree(
-            map->source, map->collection, *fragment, /*sample_rows=*/0));
-      }
-    }
-
-    balancer_.AddEngine(std::make_unique<core::IntegrationEngine>(
-        shard_catalog.get(), opts));
-    shard_catalogs_.push_back(std::move(shard_catalog));
+    balancer_.AddEngine(
+        std::make_unique<core::IntegrationEngine>(shard_catalog, opts));
   }
 
   catalog_listener_token_ =
@@ -123,45 +121,6 @@ Status ShardCluster::Init() {
   return Status::OK();
 }
 
-Status ShardCluster::InstallPartition(const PartitionSpec& spec,
-                                      const Node& tree) {
-  const metadata::FragmentMap* map =
-      catalog_->fragment_map(spec.source, spec.collection);
-  if (map == nullptr) {
-    return Status::NotFound("collection is not registered as fragmented");
-  }
-  std::vector<NodePtr> fragments;
-  fragments.reserve(map->num_fragments);
-  for (size_t i = 0; i < map->num_fragments; ++i) {
-    fragments.push_back(Node::Element(tree.name()));
-  }
-  for (const NodePtr& record : tree.children()) {
-    if (record == nullptr) continue;
-    size_t fragment = 0;
-    if (record->is_element()) {
-      fragment = map->FragmentForKey(PartitionKeyOf(*record, map->partition_key));
-    }
-    fragments[fragment]->AddChild(record->Clone());
-  }
-
-  std::vector<metadata::CollectionStats> fragment_stats;
-  fragment_stats.reserve(fragments.size());
-  std::vector<ConstNodePtr> frozen;
-  frozen.reserve(fragments.size());
-  for (NodePtr& fragment : fragments) {
-    fragment_stats.push_back(metadata::AnalyzeCollectionTree(
-        spec.source, spec.collection, *fragment, /*sample_rows=*/0));
-    frozen.push_back(fragment->Freeze());
-  }
-  registry_.Install(spec.source, spec.collection, std::move(frozen));
-  catalog_->statistics().Put(metadata::MergeCollectionStats(fragment_stats));
-  for (size_t i = 0;
-       i < fragment_stats.size() && i < shard_catalogs_.size(); ++i) {
-    shard_catalogs_[i]->statistics().Put(std::move(fragment_stats[i]));
-  }
-  return Status::OK();
-}
-
 Status ShardCluster::Repartition(const std::string& source_name) {
   connector::Connector* source = catalog_->source(source_name);
   if (source == nullptr) {
@@ -171,13 +130,7 @@ Status ShardCluster::Repartition(const std::string& source_name) {
     if (map->source != source_name) continue;
     NIMBLE_ASSIGN_OR_RETURN(NodePtr tree,
                             source->FetchCollection(map->collection));
-    PartitionSpec spec;
-    spec.source = map->source;
-    spec.collection = map->collection;
-    spec.partition_key = map->partition_key;
-    spec.kind = map->kind;
-    spec.num_fragments = map->num_fragments;
-    NIMBLE_RETURN_IF_ERROR(InstallPartition(spec, *tree));
+    Install(*map, SplitCollection(*tree, *map));
   }
   repartitions_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();

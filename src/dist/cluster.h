@@ -19,16 +19,11 @@ namespace dist {
 /// Shard-placement configuration.
 struct ShardClusterOptions {
   size_t num_shards = 1;
-  /// Template for every shard engine. The cluster overrides two fields:
-  /// `query_deadline_micros` becomes `shard_deadline_micros` and
-  /// `max_inflight_queries` becomes `shard_max_inflight`.
+  /// Every shard engine's options. Its `query_deadline_micros` is the
+  /// per-shard deadline — a shard that cannot answer in time fails with
+  /// Timeout, and the coordinator degrades it to partial results — and its
+  /// `max_inflight_queries` the per-shard admission limit.
   core::EngineOptions engine_options;
-  /// Per-shard query deadline on the shard engine's clock (0 = none). The
-  /// straggler trigger: a shard that cannot answer in time fails with
-  /// Timeout and the coordinator degrades to partial results.
-  int64_t shard_deadline_micros = 0;
-  /// Shard-engine admission scheduler in-flight cap (0 = scheduler off).
-  size_t shard_max_inflight = 0;
   /// Test hooks, applied per shard at Init: adjust one shard's engine
   /// options (e.g. a private clock), or wrap one shard's source connectors
   /// (e.g. SimulatedSource latency injection for straggler tests).
@@ -47,8 +42,7 @@ struct ShardClusterOptions {
 /// locally.
 ///
 /// Lifecycle: construct → Partition(...) per sharded collection → Init()
-/// → serve. Partition must precede Init only for statistics seeding;
-/// fragment installs themselves are runtime-safe (Repartition swaps them
+/// → serve. Fragment installs are runtime-safe (Repartition swaps them
 /// under the registry lock while queries run).
 class ShardCluster {
  public:
@@ -62,9 +56,7 @@ class ShardCluster {
 
   /// Splits one collection across the shards: fetches it from the global
   /// source, partitions per `spec`, registers the FragmentMap in the global
-  /// catalog, installs the fragment trees, and seeds statistics — merged
-  /// stats into the global catalog, per-fragment stats into each shard
-  /// catalog (once Init ran).
+  /// catalog, and installs the fragments.
   Status Partition(const PartitionSpec& spec);
 
   /// Builds the shard catalogs/engines and subscribes the repartition
@@ -91,15 +83,18 @@ class ShardCluster {
   }
 
  private:
-  /// Splits a fetched collection tree per the map's existing topology and
-  /// installs the result; refreshes shard statistics.
-  Status InstallPartition(const PartitionSpec& spec, const Node& tree);
+  /// Installs one collection's fragments (one per shard, split by `map`)
+  /// and their statistics: each fragment's into its shard catalog, the
+  /// merged view into the global catalog.
+  void Install(const metadata::FragmentMap& map,
+               std::vector<NodePtr> fragments);
 
   metadata::Catalog* catalog_;
   ShardClusterOptions options_;
   FragmentRegistry registry_;
-  /// Shard catalogs are declared before the balancer (whose engines
-  /// reference them) so engines drain before their catalogs die.
+  /// One per shard from construction on, so Install can always seed their
+  /// statistics. Declared before the balancer (whose engines reference
+  /// them) so engines drain before their catalogs die.
   std::vector<std::unique_ptr<metadata::Catalog>> shard_catalogs_;
   frontend::LoadBalancer balancer_;
   uint64_t catalog_listener_token_ = 0;

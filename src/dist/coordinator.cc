@@ -8,9 +8,8 @@
 #include <set>
 #include <utility>
 
-#include "algebra/construct.h"
 #include "algebra/tuple.h"
-#include "dist/merge.h"
+#include "xml/serializer.h"
 
 namespace nimble {
 namespace dist {
@@ -18,7 +17,6 @@ namespace {
 
 using xmlql::Condition;
 using xmlql::ElementPattern;
-using xmlql::TemplateNode;
 
 /// Slice width for the responsive gather wait: small enough that a cancelled
 /// query returns within a few milliseconds, large enough that the poll loop
@@ -31,14 +29,6 @@ Status CheckCancelled(const std::atomic<bool>* cancel) {
     return Status::Cancelled("query cancelled during shard gather");
   }
   return Status::OK();
-}
-
-bool PatternHasElementVariable(const ElementPattern& pattern) {
-  if (!pattern.element_variable.empty()) return true;
-  for (const std::unique_ptr<ElementPattern>& child : pattern.children) {
-    if (PatternHasElementVariable(*child)) return true;
-  }
-  return false;
 }
 
 Condition::Op FlipOp(Condition::Op op) {
@@ -84,12 +74,73 @@ int64_t ElapsedMicros(std::chrono::steady_clock::time_point since) {
       .count();
 }
 
+/// Orders two bindings whose scalar views compare equal by how they print:
+/// a scalar before a node, scalars by type and then as text (equal values
+/// of one type print alike, except doubles: -0 and 0, NaNs of either
+/// sign), nodes by their serialized bytes.
+int ComparePrinted(const algebra::Binding& x, const algebra::Binding& y) {
+  if (x.is_node() != y.is_node()) return x.is_node() ? 1 : -1;
+  if (x.is_node()) return ToXml(*x.node()).compare(ToXml(*y.node()));
+  const Value& u = x.AsScalar();
+  const Value& v = y.AsScalar();
+  if (u.type() != v.type()) return u.type() < v.type() ? -1 : 1;
+  return u.is_double() ? u.ToString().compare(v.ToString()) : 0;
+}
+
+/// Concatenates shard answers in one order that depends only on the rows,
+/// not on which shard sent them: by a hash of each row's values, then, for
+/// colliding hashes, slot by slot by value and by how the bindings print.
+/// Rows still tied print identically, so the branch's plan (aggregation,
+/// ORDER BY ties, LIMIT, CONSTRUCT) answers alike on any shard count.
+/// Hashes make this one streaming pass and a sort of 16-byte entries;
+/// comparing bindings instead reads two of them at random per step.
+algebra::TupleBatch ConcatCanonical(
+    const std::vector<const algebra::TupleBatch*>& parts, size_t num_slots) {
+  struct Row {
+    uint64_t hash;
+    uint32_t part;
+    uint32_t index;
+  };
+  std::vector<Row> rows;
+  for (size_t p = 0; p < parts.size(); ++p) {
+    for (size_t i = 0; i < parts[p]->size(); ++i) {
+      uint64_t hash = 0;
+      for (size_t slot = 0; slot < num_slots; ++slot) {
+        hash = hash * 0x9E3779B97F4A7C15ULL +
+               parts[p]->binding(slot, i).Hash();
+      }
+      rows.push_back(
+          Row{hash, static_cast<uint32_t>(p), static_cast<uint32_t>(i)});
+    }
+  }
+  auto binding = [&parts](const Row& row,
+                          size_t slot) -> const algebra::Binding& {
+    return parts[row.part]->binding(slot, row.index);
+  };
+  std::sort(rows.begin(), rows.end(), [&](const Row& a, const Row& b) {
+    if (a.hash != b.hash) return a.hash < b.hash;
+    for (size_t slot = 0; slot < num_slots; ++slot) {
+      const algebra::Binding& x = binding(a, slot);
+      const algebra::Binding& y = binding(b, slot);
+      int cmp = x.AsScalar().Compare(y.AsScalar());
+      if (cmp == 0) cmp = ComparePrinted(x, y);
+      if (cmp != 0) return cmp < 0;
+    }
+    return false;
+  });
+  algebra::TupleBatch out(num_slots);
+  for (size_t slot = 0; slot < num_slots; ++slot) {
+    std::vector<algebra::Binding>& column = out.MutableColumn(slot);
+    column.reserve(rows.size());
+    for (const Row& row : rows) column.push_back(binding(row, slot));
+  }
+  out.SetNumRows(rows.size());
+  return out;
+}
+
 }  // namespace
 
-struct Coordinator::BranchPlan {
-  const xmlql::Query* query = nullptr;
-  /// The branch's single pattern, as the local engine fragments it.
-  const core::Fragment* fragment = nullptr;
+struct Coordinator::Scatter {
   const metadata::FragmentMap* map = nullptr;
   std::string source_name;
   std::string source_label;  ///< "source:collection".
@@ -116,75 +167,25 @@ CoordinatorCounters Coordinator::counters() const {
   return out;
 }
 
-bool Coordinator::PlanBranch(const xmlql::Query& query,
-                             const core::Fragmentation& fragmentation,
-                             BranchPlan* plan, std::string* reason) const {
-  plan->query = &query;
-  if (query.patterns.size() != 1) {
-    *reason = "multi-pattern join";
-    return false;
-  }
-  plan->fragment = &fragmentation.fragments[0];
+std::optional<Coordinator::Scatter> Coordinator::PlanScatter(
+    const xmlql::Query& query) const {
+  if (query.patterns.size() != 1) return std::nullopt;
   const xmlql::SourceRef& ref = query.patterns[0].source;
-  if (ref.is_view()) {
-    *reason = "mediated-view source";
-    return false;
-  }
+  if (ref.is_view()) return std::nullopt;
   const metadata::FragmentMap* map =
       cluster_->catalog()->fragment_map(ref.source, ref.collection);
-  if (map == nullptr) {
-    *reason = "collection is not sharded";
-    return false;
-  }
-  plan->map = map;
-  plan->source_name = ref.source;
-  plan->source_label = ref.ToString();
+  if (map == nullptr) return std::nullopt;
 
+  Scatter scatter;
+  scatter.map = map;
+  scatter.source_name = ref.source;
+  scatter.source_label = ref.ToString();
   std::shared_ptr<const metadata::CollectionStats> stats =
       cluster_->catalog()->statistics().Get(ref.source, ref.collection);
-  plan->est_rows = stats != nullptr ? stats->row_count : -1.0;
-  if (options_.min_scatter_rows > 0 && plan->est_rows >= 0 &&
-      plan->est_rows < options_.min_scatter_rows) {
-    *reason = "below min_scatter_rows";
-    return false;
-  }
-
-  if (query.construct == nullptr ||
-      query.construct->kind != TemplateNode::Kind::kElement) {
-    *reason = "non-element construct root";
-    return false;
-  }
-
-  if (query.IsAggregation()) {
-    if (PatternHasElementVariable(query.patterns[0].root)) {
-      *reason = "ELEMENT_AS binding in aggregation";
-      return false;
-    }
-    std::set<std::string> seen_groups;
-    for (const std::string& var : query.group_by) {
-      if (!seen_groups.insert(var).second) {
-        *reason = "duplicate GROUP BY variable";
-        return false;
-      }
-    }
-    for (const xmlql::OrderSpec& spec : query.order_by) {
-      if (seen_groups.count(spec.variable) == 0) {
-        *reason = "ORDER BY variable is not a grouping key";
-        return false;
-      }
-    }
-    std::vector<std::pair<xmlql::AggregateFn, std::string>> aggregates;
-    query.construct->CollectAggregates(&aggregates);
-    for (const auto& [fn, var] : aggregates) {
-      if (!seen_groups.insert(algebra::AggregateOutputName(fn, var)).second) {
-        *reason = "aggregate output name collides with a grouping key";
-        return false;
-      }
-    }
-  }
+  scatter.est_rows = stats != nullptr ? stats->row_count : -1.0;
 
   // --- Shard pruning from the partition key -------------------------------
-  std::vector<size_t> targets = plan->map->AllFragments();
+  std::vector<size_t> targets = map->AllFragments();
   auto intersect = [&targets](const std::vector<size_t>& keep) {
     std::set<size_t> allowed(keep.begin(), keep.end());
     std::vector<size_t> next;
@@ -216,16 +217,16 @@ bool Coordinator::PlanBranch(const xmlql::Query& query,
   // Literal constraints inside the pattern prune like equality conditions.
   for (const ElementPattern* record : records) {
     for (const xmlql::AttrPattern& attr : record->attributes) {
-      if (!attr.is_variable && "@" + attr.name == plan->map->partition_key) {
-        intersect(plan->map->FragmentsForCondition(Condition::Op::kEq,
-                                                   attr.literal));
+      if (!attr.is_variable && "@" + attr.name == map->partition_key) {
+        intersect(map->FragmentsForCondition(Condition::Op::kEq,
+                                             attr.literal));
       }
     }
     for (const std::unique_ptr<ElementPattern>& column : record->children) {
       if (column != nullptr && column->content_literal.has_value() &&
-          column->tag == plan->map->partition_key) {
-        intersect(plan->map->FragmentsForCondition(Condition::Op::kEq,
-                                                   *column->content_literal));
+          column->tag == map->partition_key) {
+        intersect(map->FragmentsForCondition(Condition::Op::kEq,
+                                             *column->content_literal));
       }
     }
   }
@@ -244,15 +245,15 @@ bool Coordinator::PlanBranch(const xmlql::Query& query,
       continue;
     }
     auto it = var_columns.find(var_side->variable);
-    if (it == var_columns.end() || it->second != plan->map->partition_key) {
+    if (it == var_columns.end() || it->second != map->partition_key) {
       continue;
     }
-    intersect(plan->map->FragmentsForCondition(op, *literal));
+    intersect(map->FragmentsForCondition(op, *literal));
   }
 
-  plan->target_shards = std::move(targets);
-  plan->pruned = plan->map->num_fragments - plan->target_shards.size();
-  return true;
+  scatter.target_shards = std::move(targets);
+  scatter.pruned = map->num_fragments - scatter.target_shards.size();
+  return scatter;
 }
 
 Result<core::QueryResult> Coordinator::ExecuteText(
@@ -260,22 +261,35 @@ Result<core::QueryResult> Coordinator::ExecuteText(
   NIMBLE_ASSIGN_OR_RETURN(std::shared_ptr<const core::CompiledProgram> compiled,
                           local_.GetOrCompile(xmlql_text));
   const std::vector<xmlql::Query>& branches = compiled->program.branches;
-  std::vector<BranchPlan> plans(branches.size());
+  std::vector<std::optional<Scatter>> scatters(branches.size());
+  bool scattered = false;
   for (size_t b = 0; b < branches.size(); ++b) {
-    std::string reason;
-    if (!PlanBranch(branches[b], compiled->fragmentations[b], &plans[b],
-                    &reason)) {
-      fallback_queries_.fetch_add(1, std::memory_order_relaxed);
-      return local_.ExecuteText(xmlql_text, query_options);
-    }
+    scatters[b] = PlanScatter(branches[b]);
+    scattered = scattered || scatters[b].has_value();
+  }
+  if (!scattered) {
+    fallback_queries_.fetch_add(1, std::memory_order_relaxed);
+    return local_.ExecuteText(xmlql_text, query_options);
   }
   scatter_queries_.fetch_add(1, std::memory_order_relaxed);
-  return ExecuteScattered(xmlql_text, std::move(plans), query_options);
+  // Every shard has answered (or degraded) before the engine runs, so no
+  // branch task on the worker pool ever blocks on a shard handle.
+  NIMBLE_ASSIGN_OR_RETURN(
+      std::vector<std::optional<core::GatheredFragment>> gathered,
+      ScatterAndWait(xmlql_text, *compiled, scatters, query_options));
+  Result<core::QueryResult> result =
+      local_.Execute(*compiled, query_options, gathered);
+  if (result.ok() && !result->report.completeness.complete) {
+    partial_results_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return result;
 }
 
-Result<core::QueryResult> Coordinator::ExecuteScattered(
-    std::string_view xmlql_text, std::vector<BranchPlan> plans,
-    const core::QueryOptions& query_options) {
+Result<std::vector<std::optional<core::GatheredFragment>>>
+Coordinator::ScatterAndWait(std::string_view xmlql_text,
+                            const core::CompiledProgram& compiled,
+                            const std::vector<std::optional<Scatter>>& scatters,
+                            const core::QueryOptions& query_options) {
   const core::AvailabilityPolicy policy = query_options.availability.value_or(
       local_.options().availability);
   core::QueryOptions shard_options = query_options;
@@ -287,10 +301,11 @@ Result<core::QueryResult> Coordinator::ExecuteScattered(
     const Result<core::QueryResult>* outcome = nullptr;  ///< null: straggler.
     bool degraded = false;
   };
-  std::vector<std::vector<ShardRun>> runs(plans.size());
+  std::vector<std::vector<ShardRun>> runs(scatters.size());
   size_t dispatched = 0;
-  for (size_t b = 0; b < plans.size(); ++b) {
-    for (size_t shard : plans[b].target_shards) {
+  for (size_t b = 0; b < scatters.size(); ++b) {
+    if (!scatters[b].has_value()) continue;
+    for (size_t shard : scatters[b]->target_shards) {
       ShardRun run;
       run.shard = shard;
       run.handle = cluster_->shard_engine(shard)->SubmitBindings(
@@ -298,7 +313,7 @@ Result<core::QueryResult> Coordinator::ExecuteScattered(
       runs[b].push_back(std::move(run));
       ++dispatched;
     }
-    shards_pruned_.fetch_add(plans[b].pruned, std::memory_order_relaxed);
+    shards_pruned_.fetch_add(scatters[b]->pruned, std::memory_order_relaxed);
   }
   subqueries_.fetch_add(dispatched, std::memory_order_relaxed);
 
@@ -309,17 +324,12 @@ Result<core::QueryResult> Coordinator::ExecuteScattered(
   };
   const std::atomic<bool>* cancel = query_options.cancel;
 
-  // --- Gather: wait (bounded when a straggler budget is set) --------------
+  // --- Wait (bounded when a straggler budget is set) ----------------------
   const int64_t budget = options_.straggler_wait_micros;
   const auto gather_start = std::chrono::steady_clock::now();
-  core::QueryResult out;
-  out.document = Node::Element("results");
-  core::ExecutionReport& report = out.report;
-  size_t total_merge_rows = 0;
-
-  for (size_t b = 0; b < plans.size(); ++b) {
-    const BranchPlan& plan = plans[b];
+  for (size_t b = 0; b < scatters.size(); ++b) {
     for (ShardRun& run : runs[b]) {
+      const Scatter& scatter = *scatters[b];
       // Wait in bounded slices, polling the caller's cancel flag between
       // slices, so a cancelled scatter-gather abandons the remaining shards
       // within ~kGatherSliceMicros instead of blocking until they finish.
@@ -353,9 +363,9 @@ Result<core::QueryResult> Coordinator::ExecuteScattered(
         stragglers_.fetch_add(1, std::memory_order_relaxed);
       }
       const Status status =
-          straggler ? Status::Timeout(
-                          "shard " + std::to_string(run.shard) + " of " +
-                          plan.source_label + " exceeded the straggler budget")
+          straggler ? Status::Timeout("shard " + std::to_string(run.shard) +
+                                      " of " + scatter.source_label +
+                                      " exceeded the straggler budget")
                     : run.outcome->status();
       if (policy == core::AvailabilityPolicy::kFailFast ||
           !core::DegradableCode(status.code())) {
@@ -364,72 +374,64 @@ Result<core::QueryResult> Coordinator::ExecuteScattered(
       }
       // Required sources fail the query under any policy (paper §3.4).
       for (const std::string& required : query_options.required_sources) {
-        if (required == plan.source_name) {
+        if (required == scatter.source_name) {
           cancel_all();
           return Status::Unavailable("required source '" + required +
                                      "' is unavailable");
         }
       }
       run.degraded = true;
-      report.completeness.complete = false;
-      AddUnique(&report.completeness.unavailable_sources,
-                plan.source_label + "#shard" + std::to_string(run.shard));
     }
   }
 
-  // --- Gather each branch's shard bindings --------------------------------
-  const algebra::CancelProbe cancel_probe = [cancel] {
-    return CheckCancelled(cancel);
-  };
-  std::string plan_text, plan_stats_text;
-  for (size_t b = 0; b < plans.size(); ++b) {
-    const BranchPlan& plan = plans[b];
+  // --- Gather each scattered branch's shard bindings ----------------------
+  std::vector<std::optional<core::GatheredFragment>> gathered(scatters.size());
+  size_t gathered_rows = 0;
+  for (size_t b = 0; b < scatters.size(); ++b) {
+    if (!scatters[b].has_value()) continue;
+    const Scatter& scatter = *scatters[b];
+    core::GatheredFragment& out = gathered[b].emplace();
+    core::ExecutionReport& report = out.report;
 
     std::string shard_list;
-    for (size_t i = 0; i < plan.target_shards.size(); ++i) {
+    for (size_t i = 0; i < scatter.target_shards.size(); ++i) {
       if (i > 0) shard_list += ",";
-      shard_list += std::to_string(plan.target_shards[i]);
+      shard_list += std::to_string(scatter.target_shards[i]);
     }
-    const std::string scatter_header =
-        (plans.size() > 1 ? "-- branch " + std::to_string(b) + " --\n" : "") +
-        "scatter: " + plan.source_label + " shards=[" + shard_list + "] of " +
-        std::to_string(plan.map->num_fragments) +
-        " pruned=" + std::to_string(plan.pruned) + " key=" +
-        plan.map->partition_key + " (" +
-        metadata::FragmentMap::KindName(plan.map->kind) + ") est_cost=" +
+    report.plan =
+        "scatter: " + scatter.source_label + " shards=[" + shard_list +
+        "] of " + std::to_string(scatter.map->num_fragments) +
+        " pruned=" + std::to_string(scatter.pruned) +
+        " key=" + scatter.map->partition_key + " (" +
+        metadata::FragmentMap::KindName(scatter.map->kind) + ") est_cost=" +
         std::to_string(cost_model_.ScatterGatherCost(
-            std::max(plan.est_rows, 0.0), plan.target_shards.size(),
-            std::max(plan.est_rows, 0.0))) +
+            std::max(scatter.est_rows, 0.0), scatter.target_shards.size(),
+            std::max(scatter.est_rows, 0.0))) +
         "\n";
-    plan_text += scatter_header;
-    plan_stats_text += scatter_header;
+    report.plan_with_stats = report.plan;
 
-    // Concatenate the answering shards' bindings into the gather's input.
-    const algebra::TupleSchema& schema = plan.fragment->schema;
-    algebra::TupleBatch rows(schema.size());
-    size_t degraded = 0;
+    const algebra::TupleSchema& schema =
+        compiled.fragmentations[b].fragments[0].schema;
+    std::vector<const algebra::TupleBatch*> answers;
     for (ShardRun& run : runs[b]) {
       const std::string header = "-- shard " + std::to_string(run.shard) +
                                  (run.degraded ? " (degraded) --\n" : " --\n");
-      plan_text += header;
-      plan_stats_text += header;
+      report.plan += header;
+      report.plan_with_stats += header;
       if (run.degraded) {
-        ++degraded;
+        report.completeness.complete = false;
+        AddUnique(&report.completeness.unavailable_sources,
+                  scatter.source_label + "#shard" + std::to_string(run.shard));
         continue;
       }
       const core::QueryResult& shard_result = **run.outcome;
       const core::ExecutionReport& sr = shard_result.report;
-      plan_text += sr.plan;
-      plan_stats_text += sr.plan_with_stats;
+      report.plan += sr.plan;
+      report.plan_with_stats += sr.plan_with_stats;
       report.rows_shipped += sr.rows_shipped;
-      report.fragments_pushed_down += sr.fragments_pushed_down;
-      report.fragments_fetched += sr.fragments_fetched;
-      report.fragments_bind_joined += sr.fragments_bind_joined;
       report.retries += sr.retries;
       report.source_latency_micros =
           std::max(report.source_latency_micros, sr.source_latency_micros);
-      report.queue_wait_micros =
-          std::max(report.queue_wait_micros, sr.queue_wait_micros);
       for (const std::string& src : sr.sources_contacted) {
         AddUnique(&report.sources_contacted, src);
       }
@@ -446,35 +448,18 @@ Result<core::QueryResult> Coordinator::ExecuteScattered(
         return Status::Internal("shard " + std::to_string(run.shard) +
                                 " answered without the branch's bindings");
       }
-      rows.Append(bindings->batch);
+      answers.push_back(&bindings->batch);
     }
-    if (!runs[b].empty() && degraded == runs[b].size()) {
-      report.completeness.skipped_branches.push_back(b);
+    if (!runs[b].empty() && answers.empty()) {
+      out.status = Status::Unavailable("no shard of " + scatter.source_label +
+                                       " answered");
     }
-
-    NIMBLE_ASSIGN_OR_RETURN(
-        GatherStats gathered,
-        Gather(*plan.query, schema, std::move(rows),
-               local_.options().verify_plans, cancel_probe,
-               out.document.get()));
-    total_merge_rows += gathered.merge_rows;
-    const std::string gather_line =
-        "gather: merge rows=" + std::to_string(gathered.merge_rows) +
-        " order_by=" + std::to_string(plan.query->order_by.size()) +
-        " limit=" + std::to_string(plan.query->limit) + "\n";
-    plan_text += gather_line + gathered.plan;
-    plan_stats_text += gather_line + gathered.plan_with_stats;
+    algebra::TupleBatch rows = ConcatCanonical(answers, schema.size());
+    gathered_rows += rows.size();
+    out.bindings = core::Bindings{schema, std::move(rows)};
   }
-
-  merge_rows_.fetch_add(total_merge_rows, std::memory_order_relaxed);
-  report.plan = std::move(plan_text);
-  report.plan_with_stats = std::move(plan_stats_text);
-  report.result_count = out.document->children().size();
-  report.completeness.StampOn(out.document.get());
-  if (!report.completeness.complete) {
-    partial_results_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return out;
+  merge_rows_.fetch_add(gathered_rows, std::memory_order_relaxed);
+  return gathered;
 }
 
 }  // namespace dist

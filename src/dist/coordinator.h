@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,45 +22,38 @@ struct DistOptions {
   /// is cancelled and — under AvailabilityPolicy::kPartial — degraded to
   /// the partial-results path instead of stalling the whole query.
   int64_t straggler_wait_micros = 0;
-  /// Collections whose merged row count (global catalog statistics) falls
-  /// below this run undistributed on the local engine — scatter overhead
-  /// is not worth paying for tiny collections. The decision reads only the
-  /// shard-count-independent merged statistics, so a 1-shard and a 4-shard
-  /// deployment make the same choice (the differential-test invariant).
-  double min_scatter_rows = 0.0;
 };
 
 /// Monitor-facing counter snapshot.
 struct CoordinatorCounters {
-  uint64_t scatter_queries = 0;   ///< queries executed scatter-gather.
+  uint64_t scatter_queries = 0;   ///< queries with a branch scattered.
   uint64_t fallback_queries = 0;  ///< queries run whole on the local engine.
   uint64_t subqueries = 0;        ///< per-shard subplans dispatched.
   uint64_t shards_pruned = 0;     ///< shard subplans skipped by pruning.
-  uint64_t merge_rows = 0;        ///< rows through the gather's sort.
+  uint64_t merge_rows = 0;        ///< rows gathered from the shards.
   uint64_t stragglers = 0;        ///< shard subplans past their deadline.
-  uint64_t partial_results = 0;   ///< queries answered incomplete.
+  uint64_t partial_results = 0;   ///< scattered queries answered incomplete.
 };
 
-/// The scatter-gather coordinator (DESIGN.md §2i): compiles a query,
-/// decides per UNION branch whether it can be scattered over the cluster's
-/// shard engines, and prunes shards that cannot hold matching rows. Each
-/// target shard gets the query text and a branch index and answers with
-/// the bindings of that branch's single pattern (fetch, match, local
-/// conditions). The gather concatenates them and runs the rest of the
-/// branch — aggregation, CONSTRUCT, canonical order, LIMIT — producing a
-/// result byte-identical to what one engine over the unsharded data in
-/// canonical order would produce.
-///
-/// Anything it cannot prove distributable — multi-pattern joins, view
-/// sources, unsharded collections — falls back to an owned local engine
-/// over the global (unsharded) catalog, so every query keeps working;
-/// distribution is purely an optimization.
+/// The scatter-gather coordinator (DESIGN.md §2i). It compiles a query
+/// through its local engine and scatters each UNION branch that is a
+/// single pattern over a sharded collection, pruning shards that cannot
+/// hold matching rows. Each target shard gets the query text and a branch
+/// index and answers with the bindings of that branch's pattern (fetch,
+/// match, local conditions). The coordinator waits for them under the
+/// straggler budget, degrades shards that fail, concatenates each branch's
+/// answers in an order that depends only on the rows (so the answer is the
+/// same on any shard count), and hands the program and the gathered
+/// bindings to its local engine, which runs every branch —
+/// scattered ones from their gathered rows, the rest (joins, view
+/// sources, unsharded collections) from the global catalog — through the
+/// plan every local query uses.
 ///
 /// ExecuteText is safe to call from many threads at once.
 class Coordinator {
  public:
   /// `cluster` must be Init()ed and must outlive the coordinator. The
-  /// local fallback engine is built over the cluster's global catalog with
+  /// local engine is built over the cluster's global catalog with
   /// `local_engine_options` (its availability policy is also the default
   /// policy for straggler degradation).
   explicit Coordinator(ShardCluster* cluster, DistOptions options = {},
@@ -70,21 +64,25 @@ class Coordinator {
 
   CoordinatorCounters counters() const;
   ShardCluster* cluster() { return cluster_; }
+  /// The engine that runs every query's plan. Called directly it never
+  /// scatters: it answers from the unsharded collections (the oracle the
+  /// tests and benchmarks compare against).
   core::IntegrationEngine* local_engine() { return &local_; }
   const DistOptions& options() const { return options_; }
 
  private:
-  struct BranchPlan;
+  struct Scatter;
 
-  /// Decides scatterability of one branch and, when scatterable, fills the
-  /// plan (target shards, pruning, EXPLAIN detail). Returns false with a
-  /// reason when the branch must fall back.
-  bool PlanBranch(const xmlql::Query& query,
-                  const core::Fragmentation& fragmentation, BranchPlan* plan,
-                  std::string* reason) const;
+  /// Where branch `query` scatters (target shards after pruning, EXPLAIN
+  /// detail); nullopt when it runs on the local engine.
+  std::optional<Scatter> PlanScatter(const xmlql::Query& query) const;
 
-  Result<core::QueryResult> ExecuteScattered(
-      std::string_view xmlql_text, std::vector<BranchPlan> plans,
+  /// Dispatches every scattered branch to its shards, waits on the calling
+  /// thread, degrades failed shards, and returns one entry per branch (set
+  /// for scattered branches) for IntegrationEngine::Execute.
+  Result<std::vector<std::optional<core::GatheredFragment>>> ScatterAndWait(
+      std::string_view xmlql_text, const core::CompiledProgram& compiled,
+      const std::vector<std::optional<Scatter>>& scatters,
       const core::QueryOptions& query_options);
 
   ShardCluster* cluster_;

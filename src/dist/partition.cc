@@ -37,6 +37,24 @@ Result<std::vector<Value>> RangeBounds(std::vector<Value> keys, size_t n) {
 
 }  // namespace
 
+std::vector<NodePtr> SplitCollection(const Node& root,
+                                     const metadata::FragmentMap& map) {
+  std::vector<NodePtr> fragments;
+  fragments.reserve(map.num_fragments);
+  for (size_t i = 0; i < map.num_fragments; ++i) {
+    fragments.push_back(Node::Element(root.name()));
+  }
+  for (const NodePtr& record : root.children()) {
+    if (record == nullptr) continue;
+    size_t fragment = 0;
+    if (record->is_element()) {
+      fragment = map.FragmentForKey(PartitionKeyOf(*record, map.partition_key));
+    }
+    fragments[fragment]->AddChild(record->Clone());
+  }
+  return fragments;
+}
+
 Result<PartitionedCollection> PartitionCollection(const Node& root,
                                                   const PartitionSpec& spec) {
   if (spec.num_fragments == 0) {
@@ -66,26 +84,7 @@ Result<PartitionedCollection> PartitionCollection(const Node& root,
                             RangeBounds(std::move(keys), spec.num_fragments));
   }
 
-  out.fragments.reserve(spec.num_fragments);
-  for (size_t i = 0; i < spec.num_fragments; ++i) {
-    out.fragments.push_back(Node::Element(root.name()));
-  }
-  for (const NodePtr& record : root.children()) {
-    if (record == nullptr) continue;
-    size_t fragment = 0;
-    if (record->is_element()) {
-      fragment =
-          out.map.FragmentForKey(PartitionKeyOf(*record, spec.partition_key));
-    }
-    out.fragments[fragment]->AddChild(record->Clone());
-  }
-
-  out.fragment_stats.reserve(spec.num_fragments);
-  for (const NodePtr& fragment : out.fragments) {
-    out.fragment_stats.push_back(metadata::AnalyzeCollectionTree(
-        spec.source, spec.collection, *fragment, /*sample_rows=*/0));
-  }
-  out.merged_stats = metadata::MergeCollectionStats(out.fragment_stats);
+  out.fragments = SplitCollection(root, out.map);
   return out;
 }
 

@@ -6,7 +6,6 @@
 
 #include "common/result.h"
 #include "metadata/fragment_map.h"
-#include "metadata/statistics.h"
 #include "xml/node.h"
 
 namespace nimble {
@@ -25,16 +24,12 @@ struct PartitionSpec {
 };
 
 /// One partitioned collection: the catalog-side map plus the per-fragment
-/// record trees and statistics. `merged_stats` is the KMV-merged whole-
-/// collection view the coordinator's optimizer sees; `fragment_stats[i]`
-/// is what shard i's local optimizer sees.
+/// record trees.
 struct PartitionedCollection {
   metadata::FragmentMap map;
   /// fragments[i]: an element named like the input root whose children are
   /// fragment i's records, in the input's document order.
   std::vector<NodePtr> fragments;
-  std::vector<metadata::CollectionStats> fragment_stats;
-  metadata::CollectionStats merged_stats;
 };
 
 /// The partition-key value of one record under the naming convention above.
@@ -43,11 +38,16 @@ struct PartitionedCollection {
 /// can never match them, so pruning stays sound.
 Value PartitionKeyOf(const Node& record, const std::string& partition_key);
 
-/// Splits `root`'s records into `spec.num_fragments` fragments. For kRange
-/// the split points are equi-depth quantiles of the observed key values;
-/// fails when the collection has too few distinct keys to cut
-/// num_fragments-1 strictly ascending bounds. Per-fragment statistics are
-/// a full (unsampled) analyze of each fragment tree.
+/// Splits `root`'s records by `map`: fragment i is an element named like
+/// `root` holding copies of the records whose key routes to i, in document
+/// order (non-element children go to fragment 0).
+std::vector<NodePtr> SplitCollection(const Node& root,
+                                     const metadata::FragmentMap& map);
+
+/// The fragment map for `spec` and `root` split by it. For kRange the map's
+/// bounds are equi-depth quantiles of the observed key values; fails when
+/// the collection has too few distinct keys to cut num_fragments-1
+/// strictly ascending bounds.
 Result<PartitionedCollection> PartitionCollection(const Node& root,
                                                   const PartitionSpec& spec);
 

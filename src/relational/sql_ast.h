@@ -135,7 +135,11 @@ using SqlStatement = std::variant<SelectStmt, InsertStmt, CreateTableStmt,
                                   CreateIndexStmt, DeleteStmt, UpdateStmt>;
 
 /// Quotes a scalar for embedding in SQL text ('…' with doubled quotes for
-/// strings; NULL for null).
+/// strings; NULL for null). SQL has no literal for NaN or an infinity:
+/// they print as nan, inf and -inf, which parse back as names. User SQL
+/// that computes one (1e999 reads as inf) still gets a stable name for its
+/// select items and group keys; generated SQL never carries one
+/// (core/sql_generator.cc, IntegrationEngine::HarvestBindValues).
 std::string SqlQuote(const Value& v);
 
 }  // namespace relational

@@ -18,9 +18,10 @@ namespace {
 /// Distributed differential test: the same generated XML-QL program must
 /// produce byte-identical output on a 1-shard and a 4-shard deployment.
 /// The coordinator's contract is that sharding is invisible — scatter
-/// decisions read only shard-count-independent state, the gather side
-/// imposes a canonical order, and non-scatterable programs fall back to
-/// identical local engines — so any divergence is a distribution bug.
+/// decisions read only shard-count-independent state, a branch run on
+/// gathered bindings puts them in the canonical order first, and every
+/// other branch runs on identical local engines — so any divergence is a
+/// distribution bug.
 ///
 /// Reuses the grammar fuzzer's generator (fixture: db:t, feed:products,
 /// view "named"), so a fuzzer repro (NIMBLE_FUZZ_SEED/NIMBLE_FUZZ_ITERS)
@@ -55,12 +56,12 @@ std::unique_ptr<Deployment> MakeDeployment(size_t shards) {
   }
   if (!d->cluster->Init().ok()) return nullptr;
 
-  // The local fallback engines must plan identically on both deployments.
-  // Their data is identical, but KMV-merged statistics are not guaranteed
+  // The local engines must plan identically on both deployments. Their
+  // data is identical, but KMV-merged statistics are not guaranteed
   // bit-equal between a 1-fragment and a 4-fragment merge, so keep the
   // cost optimizer (whose join-order choices read those statistics) out of
-  // the fallback path. Shard engines keep their defaults: the gather
-  // side's canonical ordering makes shard-internal plan choices invisible.
+  // them. Shard engines keep their defaults: the canonical order over
+  // gathered rows makes shard-internal plan choices invisible.
   core::EngineOptions local_options;
   local_options.enable_cost_optimizer = false;
   local_options.verify_plans = true;

@@ -9,6 +9,7 @@
 
 #include "admin/monitor.h"
 #include "common/clock.h"
+#include "common/thread_pool.h"
 #include "connector/simulated_source.h"
 #include "connector/xml_connector.h"
 #include "core/engine.h"
@@ -26,10 +27,11 @@ namespace dist {
 namespace {
 
 /// End-to-end tests for the scatter-gather subsystem: partitioning,
-/// pruning, the bindings gather (aggregation, CONSTRUCT, canonical order),
-/// straggler degradation, repartitioning, and the monitor surface. The
-/// correctness oracle throughout is the coordinator's own local fallback
-/// engine running the same query over the unsharded global catalog.
+/// pruning, gathered bindings run through the local engine's plan
+/// (canonical order, aggregation, CONSTRUCT), straggler degradation,
+/// repartitioning, and the monitor surface. The correctness oracle
+/// throughout is the coordinator's local engine called directly, which
+/// runs the same query over the unsharded global catalog.
 
 constexpr size_t kItems = 16;
 
@@ -103,10 +105,11 @@ DistFixture MakeDist(size_t shards,
                      metadata::FragmentMap::Kind kind =
                          metadata::FragmentMap::Kind::kHash,
                      ShardClusterOptions cluster_options = {},
-                     DistOptions dist_options = {}) {
+                     DistOptions dist_options = {},
+                     const std::string& items_xml = ItemsXml(kItems)) {
   DistFixture fx;
   auto src = std::make_unique<connector::XmlConnector>("src");
-  EXPECT_TRUE(src->PutDocumentText("items", ItemsXml(kItems)).ok());
+  EXPECT_TRUE(src->PutDocumentText("items", items_xml).ok());
   fx.src = src.get();
   fx.catalog = std::make_unique<metadata::Catalog>();
   EXPECT_TRUE(fx.catalog->RegisterSource(std::move(src)).ok());
@@ -187,7 +190,6 @@ TEST(PartitionTest, HashPartitionRoutesEveryRecordByKey) {
   ASSERT_TRUE(part.ok()) << part.status().ToString();
 
   ASSERT_EQ(part->fragments.size(), 4u);
-  ASSERT_EQ(part->fragment_stats.size(), 4u);
   size_t total = 0;
   for (size_t f = 0; f < part->fragments.size(); ++f) {
     for (const NodePtr& record : part->fragments[f]->children()) {
@@ -199,7 +201,6 @@ TEST(PartitionTest, HashPartitionRoutesEveryRecordByKey) {
     }
   }
   EXPECT_EQ(total, kItems);
-  EXPECT_DOUBLE_EQ(part->merged_stats.row_count, static_cast<double>(kItems));
 }
 
 TEST(PartitionTest, RangePartitionBoundsAscendAndPrune) {
@@ -387,40 +388,304 @@ TEST(CoordinatorTest, NonScatterableQueriesFallBackToLocal) {
   EXPECT_EQ(counters.fallback_queries, 2u);
 }
 
-TEST(CoordinatorTest, TinyCollectionsStayLocalUnderMinScatterRows) {
-  DistOptions dist_options;
-  dist_options.min_scatter_rows = 1000.0;  // far above the 16-row fixture
-  DistFixture fx = MakeDist(4, metadata::FragmentMap::Kind::kHash, {},
-                            dist_options);
-  ASSERT_NE(fx.coordinator, nullptr);
-
-  Result<core::QueryResult> got = fx.coordinator->ExecuteText(kOrderedQuery);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  CoordinatorCounters counters = fx.coordinator->counters();
-  EXPECT_EQ(counters.scatter_queries, 0u);
-  EXPECT_EQ(counters.fallback_queries, 1u);
-}
-
 TEST(CoordinatorTest, ExplainShowsScatterAndGatherRows) {
   DistFixture fx = MakeDist(4);
   ASSERT_NE(fx.coordinator, nullptr);
 
   Result<core::QueryResult> got = fx.coordinator->ExecuteText(kOrderedQuery);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_NE(got->report.plan.find("scatter: src:items"), std::string::npos)
-      << got->report.plan;
-  EXPECT_NE(got->report.plan.find("-- shard 0 --\nScan(fetch:src:items"),
+  const std::string& plan = got->report.plan;
+  EXPECT_EQ(plan.rfind("scatter: src:items shards=[0,1,2,3] of 4 pruned=0 "
+                       "key=id (hash) est_cost=",
+                       0),
+            0u)
+      << plan;
+  EXPECT_NE(plan.find("-- shard 0 --\nScan(fetch:src:items"), std::string::npos)
+      << plan;
+  // 13 rows pass $i > 2. They feed the engine's own plan: ORDER BY, then
+  // LIMIT.
+  EXPECT_NE(plan.find("-- shard 3 --\nScan(fetch:src:items, 4 tuples) "
+                      "[$i, $g, $v]\n"
+                      "Limit(5) [$i, $g, $v]\n"
+                      "  Sort [$i, $g, $v]\n"
+                      "    Scan(gather:src:items, 13 tuples) [$i, $g, $v]\n"),
             std::string::npos)
-      << got->report.plan;
-  // 13 rows pass $i > 2; the gather's own operator plan sits under its line.
-  EXPECT_NE(got->report.plan.find("gather: merge rows=13 order_by=1 limit=5\n"
-                                  "  Scan(gather, 13 tuples)"),
+      << plan;
+  const std::string& stats = got->report.plan_with_stats;
+  EXPECT_EQ(stats.rfind("scatter: src:items", 0), 0u) << stats;
+  EXPECT_NE(stats.find("Scan(gather:src:items, 13 tuples) [$i, $g, $v] "
+                       "{est_rows="),
             std::string::npos)
+      << stats;
+  EXPECT_NE(stats.find("Sort [$i, $g, $v] {est_rows="), std::string::npos)
+      << stats;
+  EXPECT_EQ(fx.coordinator->counters().merge_rows, 13u);
+}
+
+// Every single-pattern branch over a sharded collection scatters, whatever
+// its aggregation: ELEMENT_AS bindings, a repeated grouping key, an
+// aggregate named like a grouping key, ORDER BY off the grouping keys. Each
+// answers exactly as the local engine does, or fails with the same code.
+TEST(CoordinatorTest, AggregationShapesScatterAndMatchLocal) {
+  DistFixture fx = MakeDist(4);
+  ASSERT_NE(fx.coordinator, nullptr);
+
+  const char* const kShapes[] = {
+      // Aggregation over a pattern with an ELEMENT_AS binding.
+      "WHERE <items><item><grp>$g</grp><val ELEMENT_AS $e>$v</val></item>"
+      "</items> IN \"src:items\" "
+      "CONSTRUCT <o><k>$g</k><n>count($v)</n><hi>max($e)</hi></o> "
+      "GROUP BY $g ORDER BY $g",
+      // Grouping on an ELEMENT_AS binding.
+      "WHERE <items><item><id>$i</id><val ELEMENT_AS $e>$v</val></item>"
+      "</items> IN \"src:items\" CONSTRUCT <o>$e<n>count($i)</n></o> "
+      "GROUP BY $e ORDER BY $e",
+      // A duplicate GROUP BY variable.
+      "WHERE <items><item><grp>$g</grp><val>$v</val></item></items>"
+      " IN \"src:items\" CONSTRUCT <o><k>$g</k><n>count($v)</n></o> "
+      "GROUP BY $g, $g ORDER BY $g",
+      // An aggregate output named like a grouping key (count($v) is
+      // carried as $count_v).
+      "WHERE <items><item><grp>$count_v</grp><val>$v</val></item></items>"
+      " IN \"src:items\" CONSTRUCT <o><k>$count_v</k><n>count($v)</n></o> "
+      "GROUP BY $count_v ORDER BY $count_v",
+      // ORDER BY a variable that is not a grouping key.
+      "WHERE <items><item><grp>$g</grp><val>$v</val></item></items>"
+      " IN \"src:items\" CONSTRUCT <o><k>$g</k><n>count($v)</n></o> "
+      "GROUP BY $g ORDER BY $v",
+  };
+  size_t answered = 0;
+  for (const char* text : kShapes) {
+    const uint64_t scattered = fx.coordinator->counters().scatter_queries;
+    Result<core::QueryResult> got = fx.coordinator->ExecuteText(text);
+    Result<core::QueryResult> want =
+        fx.coordinator->local_engine()->ExecuteText(text);
+    ASSERT_EQ(got.ok(), want.ok())
+        << text << "\nsharded: " << got.status().ToString()
+        << "\nlocal: " << want.status().ToString();
+    if (!want.ok()) {
+      EXPECT_EQ(got.status().code(), want.status().code()) << text;
+      continue;
+    }
+    ++answered;
+    EXPECT_EQ(fx.coordinator->counters().scatter_queries, scattered + 1)
+        << text;
+    EXPECT_EQ(ChildrenXml(*got->document), ChildrenXml(*want->document))
+        << text;
+  }
+  // The ELEMENT_AS shapes answer; the other three fail on both sides.
+  EXPECT_EQ(answered, 2u);
+  EXPECT_EQ(fx.coordinator->counters().fallback_queries, 0u);
+}
+
+// A UNION scatters the branches that can scatter and runs the rest — here
+// a self-join — on the local engine, in one answer.
+TEST(CoordinatorTest, UnionScattersOneBranchAndRunsTheJoinLocally) {
+  DistFixture fx = MakeDist(4);
+  ASSERT_NE(fx.coordinator, nullptr);
+
+  const char* text =
+      "WHERE <items><item><id>$i</id><grp>$g</grp></item></items>"
+      " IN \"src:items\", $i < 6 "
+      "CONSTRUCT <r><id>$i</id><g>$g</g></r> ORDER BY $i "
+      "UNION "
+      "WHERE <items><item><id>$i</id><grp>$g</grp></item></items>"
+      " IN \"src:items\",\n"
+      "      <items><item><id>$j</id><grp>$g</grp></item></items>"
+      " IN \"src:items\", $i < $j "
+      "CONSTRUCT <pair><a>$i</a><b>$j</b></pair> ORDER BY $i, $j";
+  Result<core::QueryResult> got = fx.coordinator->ExecuteText(text);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  Result<core::QueryResult> want =
+      fx.coordinator->local_engine()->ExecuteText(text);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_EQ(ChildrenXml(*got->document), ChildrenXml(*want->document));
+  EXPECT_EQ(got->document->children().size(), 6u + 24u);
+
+  const CoordinatorCounters counters = fx.coordinator->counters();
+  EXPECT_EQ(counters.scatter_queries, 1u);
+  EXPECT_EQ(counters.fallback_queries, 0u);
+  EXPECT_EQ(counters.subqueries, 4u);
+  EXPECT_EQ(got->report.plan.rfind("-- branch 0 --\nscatter: src:items", 0),
+            0u)
       << got->report.plan;
-  EXPECT_NE(got->report.plan.find("est_cost="), std::string::npos)
+  const size_t branch1 = got->report.plan.find("-- branch 1 --\n");
+  ASSERT_NE(branch1, std::string::npos) << got->report.plan;
+  EXPECT_EQ(got->report.plan.find("scatter:", branch1), std::string::npos)
       << got->report.plan;
-  EXPECT_NE(got->report.plan_with_stats.find("scatter:"), std::string::npos)
-      << got->report.plan_with_stats;
+}
+
+// The local engine's admission control covers every query the coordinator
+// runs there: a fully scattered query and a UNION that scatters one branch
+// are admitted through its scheduler, as a query with no scattered branch
+// is.
+TEST(CoordinatorTest, ScatteredQueriesPassTheLocalAdmissionControl) {
+  DistFixture fx = MakeDist(4);
+  ASSERT_NE(fx.coordinator, nullptr);
+  core::EngineOptions local_options;
+  local_options.max_inflight_queries = 1;
+  Coordinator coordinator(fx.cluster.get(), {}, local_options);
+  ASSERT_NE(coordinator.local_engine()->scheduler(), nullptr);
+
+  const std::string mixed =
+      std::string(kUnorderedQuery) +
+      " UNION "
+      "WHERE <items><item><id>$i</id><grp>$g</grp></item></items>"
+      " IN \"src:items\",\n"
+      "      <items><item><id>$j</id><grp>$g</grp></item></items>"
+      " IN \"src:items\", $i < $j "
+      "CONSTRUCT <pair><a>$i</a><b>$j</b></pair>";
+  for (const std::string& text : {std::string(kOrderedQuery), mixed}) {
+    Result<core::QueryResult> got = coordinator.ExecuteText(text);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    Result<core::QueryResult> want =
+        fx.coordinator->local_engine()->ExecuteText(text);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(SortedChildrenXml(*got->document),
+              SortedChildrenXml(*want->document))
+        << text;
+  }
+  EXPECT_EQ(coordinator.counters().scatter_queries, 2u);
+  EXPECT_EQ(coordinator.local_engine()->scheduler()->stats().admitted, 2u);
+}
+
+// Shards answer in an order that depends on how the records were split.
+// Queries full of ties — ORDER BY a four-valued key with LIMIT, no ORDER BY
+// at all, LIMIT without ORDER BY — must still give the same bytes on any
+// shard count.
+TEST(CoordinatorTest, TiesGiveIdenticalBytesOnAnyShardCount) {
+  const char* const kQueries[] = {
+      "WHERE <items><item><id>$i</id><grp>$g</grp><val>$v</val></item>"
+      "</items> IN \"src:items\" "
+      "CONSTRUCT <r><g>$g</g><v>$v</v></r> ORDER BY $g DESC LIMIT 6",
+      "WHERE <items><item><id>$i</id><grp>$g</grp></item></items>"
+      " IN \"src:items\" CONSTRUCT <r><g>$g</g></r>",
+      "WHERE <items><item><id>$i</id><grp>$g</grp></item></items>"
+      " IN \"src:items\" CONSTRUCT <r><g>$g</g><id>$i</id></r> LIMIT 5",
+  };
+  std::vector<std::string> reference;
+  for (size_t shards = 1; shards <= 4; ++shards) {
+    DistFixture fx = MakeDist(shards);
+    ASSERT_NE(fx.coordinator, nullptr);
+    for (size_t q = 0; q < std::size(kQueries); ++q) {
+      Result<core::QueryResult> got = fx.coordinator->ExecuteText(kQueries[q]);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      const std::string bytes = ToXml(*got->document);
+      if (shards == 1) {
+        reference.push_back(bytes);
+      } else {
+        EXPECT_EQ(bytes, reference[q])
+            << shards << " shards: " << kQueries[q];
+      }
+    }
+    EXPECT_EQ(fx.coordinator->counters().scatter_queries, std::size(kQueries));
+  }
+}
+
+// Grouping on an ELEMENT_AS binding whose members share a value but differ
+// as XML: each group keeps the same member as its key, whatever order the
+// shards' rows arrive in.
+TEST(CoordinatorTest, NodeGroupKeysGiveIdenticalBytesOnAnyShardCount) {
+  std::string xml = "<items>";
+  for (int i = 0; i < 8; ++i) {
+    xml += "<item><id>" + std::to_string(i) + "</id><val" +
+           (i % 2 == 1 ? " x=\"" + std::to_string(i) + "\"" : "") + ">" +
+           std::to_string(i % 3) + "</val></item>";
+  }
+  xml += "</items>";
+  const char* text =
+      "WHERE <items><item><id>$i</id><val ELEMENT_AS $e>$v</val></item>"
+      "</items> IN \"src:items\" CONSTRUCT <o>$e<n>count($i)</n></o> "
+      "GROUP BY $e ORDER BY $e";
+  std::string reference;
+  for (size_t shards = 1; shards <= 4; ++shards) {
+    DistFixture fx = MakeDist(shards, metadata::FragmentMap::Kind::kHash, {},
+                              {}, xml);
+    ASSERT_NE(fx.coordinator, nullptr);
+    Result<core::QueryResult> got = fx.coordinator->ExecuteText(text);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(fx.coordinator->counters().scatter_queries, 1u);
+    EXPECT_EQ(got->document->children().size(), 3u);
+    if (shards == 1) {
+      reference = ToXml(*got->document);
+    } else {
+      EXPECT_EQ(ToXml(*got->document), reference) << shards << " shards";
+    }
+  }
+}
+
+// Values whose answer could follow the order rows arrive in: ones that
+// compare equal but print differently (-0.0, 0.0 and 0; 1000000000000 and
+// 1e12), and doubles whose sum rounds differently in another order. With
+// no other variable bound, the rows tie on every key but their text, and
+// still give the same bytes on any shard count, grouped or not.
+TEST(CoordinatorTest, OrderSensitiveValuesGiveIdenticalBytesOnAnyShardCount) {
+  static const char* kValues[] = {
+      "-0.0", "0",   "1e12", "0.0",  "1000000000000", "-0.0", "1e12", "0",
+      "0.1",  "0.2", "0.3",  "1e16", "-1e16",         "0.7",  "1.1",  "2.3"};
+  std::string xml = "<items>";
+  for (size_t i = 0; i < std::size(kValues); ++i) {
+    xml += "<item><id>" + std::to_string(i) + "</id><v>" + kValues[i] +
+           "</v></item>";
+  }
+  xml += "</items>";
+  const char* const kQueries[] = {
+      "WHERE <items><item><v>$v</v></item></items> IN \"src:items\" "
+      "CONSTRUCT <r>$v</r>",
+      "WHERE <items><item><v>$v</v></item></items> IN \"src:items\" "
+      "CONSTRUCT <r>$v</r> ORDER BY $v LIMIT 5",
+      "WHERE <items><item><v>$v</v></item></items> IN \"src:items\" "
+      "CONSTRUCT <g><k>$v</k><n>count($v)</n><s>sum($v)</s></g> GROUP BY $v",
+      "WHERE <items><item><v>$v</v></item></items> IN \"src:items\" "
+      "CONSTRUCT <t><s>sum($v)</s><a>avg($v)</a></t>",
+  };
+  std::vector<std::string> reference;
+  for (size_t shards = 1; shards <= 4; ++shards) {
+    DistFixture fx = MakeDist(shards, metadata::FragmentMap::Kind::kHash, {},
+                              {}, xml);
+    ASSERT_NE(fx.coordinator, nullptr);
+    for (size_t q = 0; q < std::size(kQueries); ++q) {
+      Result<core::QueryResult> got = fx.coordinator->ExecuteText(kQueries[q]);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      const std::string bytes = ToXml(*got->document);
+      if (shards == 1) {
+        reference.push_back(bytes);
+      } else {
+        EXPECT_EQ(bytes, reference[q]) << shards << " shards: " << kQueries[q];
+      }
+    }
+    EXPECT_EQ(fx.coordinator->counters().scatter_queries, std::size(kQueries));
+  }
+  // Every spelling survives: the rows differ only in how they print.
+  for (const char* text : {"<r>-0</r>", "<r>0</r>", "<r>1e+12</r>",
+                           "<r>1000000000000</r>"}) {
+    EXPECT_NE(reference[0].find(text), std::string::npos) << reference[0];
+  }
+}
+
+// Scattered UNION branches outnumber the shared pool's workers, and the
+// shard engines run on that same pool. Every shard answers before the
+// local engine runs the branches, so no pool worker ever waits on a shard.
+TEST(CoordinatorTest, ScatteredUnionWiderThanThePoolCompletes) {
+  DistFixture fx = MakeDist(4);
+  ASSERT_NE(fx.coordinator, nullptr);
+
+  const size_t branches = ThreadPool::Shared()->size() + 2;
+  std::string text;
+  for (size_t b = 0; b < branches; ++b) {
+    if (b > 0) text += " UNION ";
+    text += "WHERE <items><item><id>$i</id></item></items> IN \"src:items\", "
+            "$i >= " +
+            std::to_string(b % kItems) +
+            " CONSTRUCT <r><id>$i</id></r> ORDER BY $i";
+  }
+  Result<core::QueryResult> got = fx.coordinator->ExecuteText(text);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  Result<core::QueryResult> want =
+      fx.coordinator->local_engine()->ExecuteText(text);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_EQ(ChildrenXml(*got->document), ChildrenXml(*want->document));
+  EXPECT_EQ(fx.coordinator->counters().subqueries, 4 * branches);
 }
 
 // ---- Stragglers and partial results ---------------------------------------
@@ -462,6 +727,9 @@ TEST(CoordinatorTest, ShardDeadlineDegradesStragglerToPartial) {
       got->document->GetAttribute("missing_sources").ToString();
   EXPECT_NE(missing.find("#shard0"), std::string::npos) << missing;
   ASSERT_EQ(got->report.completeness.unavailable_sources.size(), 1u);
+  EXPECT_NE(got->report.plan.find("-- shard 0 (degraded) --\n-- shard 1 --"),
+            std::string::npos)
+      << got->report.plan;
   // The three healthy shards still answered: every surviving row is real.
   Result<core::QueryResult> want =
       fx.coordinator->local_engine()->ExecuteText(kUnorderedQuery);
@@ -493,6 +761,63 @@ TEST(CoordinatorTest, ShardDeadlineDegradesStragglerToPartial) {
   ASSERT_FALSE(strict2.ok());
   EXPECT_EQ(strict2.status().code(), StatusCode::kTimeout)
       << strict2.status().ToString();
+}
+
+// The shard deadline is the shard engines' own query_deadline_micros, set
+// once on the cluster's engine template. Each shard runs on a private
+// virtual clock, and shard 0's source charges ten virtual seconds per
+// fetch: only shard 0 blows the 1ms deadline, with no real waiting.
+TEST(CoordinatorTest, TemplateDeadlineDegradesStragglerToPartial) {
+  VirtualClock clocks[4];
+  ShardClusterOptions cluster_options;
+  cluster_options.engine_options.query_deadline_micros = 1000;
+  cluster_options.tweak_engine_options = [&clocks](size_t shard,
+                                                   core::EngineOptions* opts) {
+    opts->clock = &clocks[shard];
+  };
+  cluster_options.wrap_connector =
+      [&clocks](size_t shard, std::unique_ptr<connector::Connector> inner)
+      -> std::unique_ptr<connector::Connector> {
+    if (shard != 0) return inner;
+    connector::SimulationConfig config;
+    config.fixed_latency_micros = 10'000'000;
+    return std::make_unique<connector::SimulatedSource>(std::move(inner),
+                                                        config, &clocks[0]);
+  };
+  DistFixture fx = MakeDist(4, metadata::FragmentMap::Kind::kHash,
+                            std::move(cluster_options));
+  ASSERT_NE(fx.coordinator, nullptr);
+
+  core::QueryOptions partial;
+  partial.availability = core::AvailabilityPolicy::kPartial;
+  Result<core::QueryResult> got =
+      fx.coordinator->ExecuteText(kUnorderedQuery, partial);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_FALSE(got->report.completeness.complete);
+  EXPECT_EQ(got->report.completeness.unavailable_sources,
+            std::vector<std::string>{"src:items#shard0"});
+  EXPECT_GT(got->document->children().size(), 0u);
+  EXPECT_LT(got->document->children().size(), kItems);
+  EXPECT_EQ(fx.coordinator->counters().stragglers, 1u);
+
+  // A point query pruned to shard 0 alone loses every target shard: the
+  // branch degrades like a failed fetch and is listed as skipped.
+  const metadata::FragmentMap* map = fx.catalog->fragment_map("src", "items");
+  ASSERT_NE(map, nullptr);
+  int64_t id = 0;
+  while (map->FragmentForKey(Value::Int(id)) != 0) ++id;
+  Result<core::QueryResult> point = fx.coordinator->ExecuteText(
+      "WHERE <items><item><id>$i</id></item></items> IN \"src:items\", "
+      "$i = " + std::to_string(id) + " CONSTRUCT <r><id>$i</id></r>",
+      partial);
+  ASSERT_TRUE(point.ok()) << point.status().ToString();
+  EXPECT_EQ(point->document->children().size(), 0u);
+  EXPECT_FALSE(point->report.completeness.complete);
+  EXPECT_EQ(point->report.completeness.skipped_branches,
+            std::vector<size_t>{0});
+  EXPECT_NE(point->report.plan.find("-- shard 0 (degraded) --"),
+            std::string::npos)
+      << point->report.plan;
 }
 
 TEST(CoordinatorTest, StragglerWaitBudgetCancelsSlowShard) {
@@ -552,6 +877,50 @@ TEST(CoordinatorTest, SourceUpdateTriggersRepartition) {
   ASSERT_TRUE(want.ok());
   EXPECT_EQ(SortedChildrenXml(*after->document),
             SortedChildrenXml(*want->document));
+}
+
+// A repartition re-splits by the registered map: range bounds cut from the
+// first load stay, new keys route by them, and the statistics follow.
+TEST(CoordinatorTest, RangeRepartitionKeepsBoundsAndMatchesLocal) {
+  DistFixture fx = MakeDist(4, metadata::FragmentMap::Kind::kRange);
+  ASSERT_NE(fx.coordinator, nullptr);
+  const metadata::FragmentMap* map =
+      fx.catalog->fragment_map("src", "items");
+  ASSERT_NE(map, nullptr);
+  const std::vector<Value> bounds = map->range_upper_bounds;
+  ASSERT_EQ(bounds.size(), 3u);
+
+  ASSERT_TRUE(fx.src->PutDocumentText("items", ItemsXml(kItems + 4)).ok());
+  fx.catalog->NotifySourceUpdated("src");
+  ASSERT_EQ(fx.cluster->repartitions(), 1u);
+
+  map = fx.catalog->fragment_map("src", "items");
+  ASSERT_NE(map, nullptr);
+  EXPECT_EQ(map->range_upper_bounds, bounds);
+  size_t records = 0;
+  for (size_t shard = 0; shard < 4; ++shard) {
+    ConstNodePtr fragment = fx.cluster->registry().Get("src", "items", shard);
+    ASSERT_NE(fragment, nullptr);
+    for (const NodePtr& record : fragment->children()) {
+      EXPECT_EQ(map->FragmentForKey(PartitionKeyOf(*record, "id")), shard);
+      ++records;
+    }
+  }
+  EXPECT_EQ(records, kItems + 4);
+  std::shared_ptr<const metadata::CollectionStats> stats =
+      fx.catalog->statistics().Get("src", "items");
+  ASSERT_NE(stats, nullptr);
+  EXPECT_DOUBLE_EQ(stats->row_count, static_cast<double>(kItems + 4));
+
+  for (const char* text : {kOrderedQuery, kAggregateQuery}) {
+    Result<core::QueryResult> got = fx.coordinator->ExecuteText(text);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    Result<core::QueryResult> want =
+        fx.coordinator->local_engine()->ExecuteText(text);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(ChildrenXml(*got->document), ChildrenXml(*want->document))
+        << text;
+  }
 }
 
 // ---- Load-balancer failure isolation --------------------------------------

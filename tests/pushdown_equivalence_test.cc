@@ -4,7 +4,8 @@
 // exactly: the same status code and byte-identical XML. The literals are the
 // adversarial ones: int64's edges and one past them, -0.0, doubles that need
 // 17 digits, LIKE wildcards, a quote, NULL and the booleans. A literal is
-// pushed as SQL text, so each must survive that text unchanged.
+// pushed as SQL text, so each must survive that text unchanged — or, for
+// NaN and the infinities, which SQL cannot spell, never become SQL text.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "connector/relational_connector.h"
+#include "connector/xml_connector.h"
 #include "core/engine.h"
 #include "metadata/catalog.h"
 #include "relational/database.h"
@@ -40,9 +42,19 @@ class PushdownEquivalenceTest : public ::testing::Test {
     Must(db_->Execute(
         "INSERT INTO tt VALUES (1, NULL), (2, ''), (3, 'a'), (4, 'it''s'), "
         "(5, '%'), (6, 'a_b'), (7, '3'), (8, 'true')"));
+    // 1e999 overflows to inf.
+    Must(db_->Execute("CREATE TABLE tf (id INT, v DOUBLE)"));
+    Must(db_->Execute(
+        "INSERT INTO tf VALUES (1, 1.5), (2, 1e999), (3, -1e999), (4, NULL), "
+        "(5, 0.0)"));
     catalog_ = std::make_unique<metadata::Catalog>();
     Must(catalog_->RegisterSource(
         std::make_unique<connector::RelationalConnector>("db", db_.get())));
+    // XML text infers "nan", "inf" and "-inf" to non-finite doubles.
+    auto xml = std::make_unique<connector::XmlConnector>("x");
+    Must(xml->PutDocumentText(
+        "keys", "<keys><k>1.5</k><k>nan</k><k>inf</k><k>-inf</k></keys>"));
+    Must(catalog_->RegisterSource(std::move(xml)));
   }
 
   void Must(const Status& s) { ASSERT_TRUE(s.ok()) << s.ToString(); }
@@ -109,6 +121,54 @@ TEST_F(PushdownEquivalenceTest, PushedAndLocalConditionsAgree) {
   // Most cases answer: only the out-of-range literal, and the typing rules
   // strict analysis applies with verify_plans on, reject a query.
   EXPECT_GT(answered, cases / 2);
+}
+
+// NaN and the infinities have no SQL literal. A bind join whose keys hold
+// one pushes no IN list for that variable, and a pattern literal holding
+// one keeps its fragment on the fetch path; either way every combination
+// of bind join and pushdown gives the same answer.
+TEST_F(PushdownEquivalenceTest, NonFiniteDoublesNeverBecomeSql) {
+  const std::vector<std::string> queries = {
+      "WHERE <keys><k>$v</k></keys> IN \"x:keys\", "
+      "<tf><row><id>$i</id><v>$v</v></row></tf> IN \"db:tf\" "
+      "CONSTRUCT <r><i>$i</i><v>$v</v></r> ORDER BY $i",
+      "WHERE <tf><row><id>$i</id><v>inf</v></row></tf> IN \"db:tf\" "
+      "CONSTRUCT <r><i>$i</i></r> ORDER BY $i",
+      "WHERE <tf><row><id>$i</id><v>-inf</v></row></tf> IN \"db:tf\" "
+      "CONSTRUCT <r><i>$i</i></r> ORDER BY $i",
+      "WHERE <tf><row><id>$i</id><v>nan</v></row></tf> IN \"db:tf\" "
+      "CONSTRUCT <r><i>$i</i></r> ORDER BY $i",
+  };
+  // The join matches 1.5, inf and -inf; the pattern literals inf and -inf
+  // match one row each.
+  const std::vector<size_t> expected_rows = {3, 1, 1, 0};
+  for (size_t q = 0; q < queries.size(); ++q) {
+    std::string reference;
+    for (bool verify : {false, true}) {
+      for (bool bind_join : {false, true}) {
+        for (bool pushdown : {false, true}) {
+          EngineOptions options;
+          options.verify_plans = verify;
+          options.enable_bind_join = bind_join;
+          options.enable_pushdown = pushdown;
+          IntegrationEngine engine(catalog_.get(), options);
+          Result<QueryResult> r = engine.ExecuteText(queries[q]);
+          ASSERT_TRUE(r.ok()) << "verify_plans=" << verify
+                              << " bind_join=" << bind_join
+                              << " pushdown=" << pushdown << ": "
+                              << r.status().ToString() << "\n"
+                              << queries[q];
+          EXPECT_EQ(r->document->children().size(), expected_rows[q])
+              << queries[q];
+          const std::string got = ToXml(*r->document);
+          if (reference.empty()) reference = got;
+          EXPECT_EQ(got, reference)
+              << "verify_plans=" << verify << " bind_join=" << bind_join
+              << " pushdown=" << pushdown << ": " << queries[q];
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

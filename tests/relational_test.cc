@@ -691,6 +691,36 @@ TEST_F(RelationalTest, NegativeKeyUsesTheIndex) {
   EXPECT_EQ(range.stats.rows_scanned, 2u);
 }
 
+// SQL has no literal for an infinity, but user SQL can compute one (1e999
+// reads as inf). Its unaliased select items and group keys are named by
+// their SQL text all the same, and the query answers.
+TEST_F(RelationalTest, InfinityNamesSelectItemsAndGroupKeys) {
+  Exec("CREATE TABLE tf (id INT, v DOUBLE)");
+  Exec("INSERT INTO tf VALUES (1, 1.5), (2, -2.0), (3, 1.5)");
+  const double inf = std::numeric_limits<double>::infinity();
+
+  ResultSet product = Exec("SELECT v * 1e999 FROM tf WHERE id < 3");
+  ASSERT_EQ(product.rows.size(), 2u);
+  EXPECT_EQ(product.rows[0][0].AsDouble(), inf);
+  EXPECT_EQ(product.rows[1][0].AsDouble(), -inf);
+
+  ResultSet constant = Exec("SELECT 1e999, -1e999 FROM tf WHERE id = 1");
+  ASSERT_EQ(constant.rows.size(), 1u);
+  ASSERT_EQ(constant.columns.size(), 2u);
+  EXPECT_NE(constant.columns[0], constant.columns[1]);
+  EXPECT_EQ(constant.rows[0][0].AsDouble(), inf);
+  EXPECT_EQ(constant.rows[0][1].AsDouble(), -inf);
+
+  ResultSet grouped = Exec(
+      "SELECT v * 1e999, COUNT(*) FROM tf GROUP BY v * 1e999 "
+      "ORDER BY COUNT(*)");
+  ASSERT_EQ(grouped.rows.size(), 2u);
+  EXPECT_EQ(grouped.rows[0][0].AsDouble(), -inf);
+  EXPECT_EQ(grouped.rows[0][1], Value::Int(1));
+  EXPECT_EQ(grouped.rows[1][0].AsDouble(), inf);
+  EXPECT_EQ(grouped.rows[1][1], Value::Int(2));
+}
+
 TEST(SqlLiteralTest, MinusOverANegativeLiteralNeverPrintsACommentMarker) {
   Result<SqlStatement> parsed = ParseSql("SELECT -(-5) AS x FROM t");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
