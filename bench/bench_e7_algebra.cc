@@ -171,11 +171,12 @@ void BM_NumericFilterUntyped(benchmark::State& state) {
 }
 BENCHMARK(BM_NumericFilterUntyped);
 
-void BM_PatternMatch(benchmark::State& state) {
+/// Matches `where` (one pattern over the catalog) against a catalog of
+/// state.range(0) products; items are products scanned.
+void RunPatternMatch(benchmark::State& state, const std::string& where) {
   auto doc = ParseXml(MakeCatalogXml(static_cast<size_t>(state.range(0))));
-  auto query = xmlql::ParseQuery(
-      "WHERE <catalog><product sku=$s><title>$t</title><price>$p</price>"
-      "</product></catalog> IN \"x:catalog\" CONSTRUCT <o>$t</o>");
+  auto query = xmlql::ParseQuery("WHERE " + where +
+                                 " IN \"x:catalog\" CONSTRUCT <o/>");
   TupleSchema schema = algebra::SchemaForPattern(query->patterns[0].root);
   for (auto _ : state) {
     auto tuples = algebra::MatchPattern(query->patterns[0].root, *doc, schema);
@@ -184,7 +185,34 @@ void BM_PatternMatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0));
 }
+
+void BM_PatternMatch(benchmark::State& state) {
+  RunPatternMatch(state,
+                  "<catalog><product sku=$s><title>$t</title><price>$p</price>"
+                  "</product></catalog>");
+}
 BENCHMARK(BM_PatternMatch)->Arg(100)->Arg(1000)->Arg(10000);
+
+// A content literal that few records pass, as in sharded_aggregate's
+// co-partitioned join (`<cust>17</cust>`).
+void BM_PatternMatchContentLiteral(benchmark::State& state) {
+  RunPatternMatch(state,
+                  "<catalog><product sku=$s><qty>17</qty><title>$t</title>"
+                  "</product></catalog>");
+}
+BENCHMARK(BM_PatternMatchContentLiteral)->Arg(10000);
+
+void BM_PatternMatchElementAs(benchmark::State& state) {
+  RunPatternMatch(state,
+                  "<catalog><product ELEMENT_AS $e><price>$p</price>"
+                  "</product></catalog>");
+}
+BENCHMARK(BM_PatternMatchElementAs)->Arg(10000);
+
+void BM_PatternMatchDescendant(benchmark::State& state) {
+  RunPatternMatch(state, "<//product><title>$t</title></product>");
+}
+BENCHMARK(BM_PatternMatchDescendant)->Arg(10000);
 
 void BM_DescendantPath(benchmark::State& state) {
   auto doc = ParseXml(MakeCatalogXml(static_cast<size_t>(state.range(0))));

@@ -28,7 +28,8 @@ Status InstantiateInto(const xmlql::TemplateNode& tmpl,
       return Status::OK();
     }
     case xmlql::TemplateNode::Kind::kAggregate: {
-      std::string output = AggregateOutputName(tmpl.aggregate, tmpl.variable);
+      std::string output =
+          xmlql::AggregateOutputName(tmpl.aggregate, tmpl.variable);
       std::optional<size_t> slot = schema.SlotOf(output);
       if (!slot.has_value()) {
         return Status::InvalidArgument("aggregate " + output +
@@ -64,10 +65,6 @@ Status InstantiateInto(const xmlql::TemplateNode& tmpl,
 
 }  // namespace
 
-std::string AggregateOutputName(xmlql::AggregateFn fn, const std::string& var) {
-  return std::string(xmlql::AggregateFnName(fn)) + "_" + var;
-}
-
 Result<std::vector<HashAggregate::Spec>> AggregateSpecs(
     const xmlql::TemplateNode& tmpl, const TupleSchema& input) {
   std::vector<std::pair<xmlql::AggregateFn, std::string>> calls;
@@ -96,7 +93,8 @@ Result<std::vector<HashAggregate::Spec>> AggregateSpecs(
         op = HashAggregate::Fn::kMax;
         break;
     }
-    specs.push_back(HashAggregate::Spec{op, var, AggregateOutputName(fn, var)});
+    specs.push_back(
+        HashAggregate::Spec{op, var, xmlql::AggregateOutputName(fn, var)});
   }
   return specs;
 }
@@ -111,7 +109,7 @@ std::vector<std::string> ConstructInputs(const xmlql::Query& query) {
   std::vector<std::pair<xmlql::AggregateFn, std::string>> calls;
   query.construct->CollectAggregates(&calls);
   for (const auto& [fn, var] : calls) {
-    required.push_back(AggregateOutputName(fn, var));
+    required.push_back(xmlql::AggregateOutputName(fn, var));
   }
   return required;
 }

@@ -13,12 +13,9 @@
 namespace nimble {
 namespace algebra {
 
-/// The plan variable that carries an aggregate call's result: "<fn>_<var>".
-std::string AggregateOutputName(xmlql::AggregateFn fn, const std::string& var);
-
 /// The HashAggregate specs for a template's aggregate calls, one per
-/// distinct (fn, variable), each output named by AggregateOutputName. Fails
-/// when a call's variable is not in `input`.
+/// distinct (fn, variable), each output named by xmlql::AggregateOutputName.
+/// Fails when a call's variable is not in `input`.
 Result<std::vector<HashAggregate::Spec>> AggregateSpecs(
     const xmlql::TemplateNode& tmpl, const TupleSchema& input);
 

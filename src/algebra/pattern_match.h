@@ -16,9 +16,11 @@ TupleSchema SchemaForPattern(const xmlql::ElementPattern& pattern);
 /// Matches `pattern` against the tree rooted at `tree`, producing one row
 /// of `schema`-shaped columns per combination of matching sub-elements
 /// (bag semantics, document order). Repeated variables unify: a binding
-/// conflict drops the combination. The root pattern must match `tree`
-/// itself unless it is a descendant pattern (`<//tag>`), which searches the
-/// whole tree.
+/// conflict drops the combination, and the binding of the first element in
+/// pattern preorder is kept. The root pattern must match `tree` itself
+/// unless it is a descendant pattern (`<//tag>`), which searches the whole
+/// tree. Fails with InvalidArgument when a pattern variable has no slot in
+/// `schema` or is bound both by ELEMENT_AS and as a scalar.
 Result<TupleBatch> MatchPattern(const xmlql::ElementPattern& pattern,
                                 const NodePtr& tree,
                                 const TupleSchema& schema);

@@ -62,6 +62,10 @@ const char* AggregateFnName(AggregateFn fn) {
   return "?";
 }
 
+std::string AggregateOutputName(AggregateFn fn, const std::string& var) {
+  return std::string(AggregateFnName(fn)) + "_" + var;
+}
+
 void TemplateNode::CollectVariables(std::vector<std::string>* out) const {
   if (kind == Kind::kVariable || kind == Kind::kAggregate) {
     out->push_back(variable);

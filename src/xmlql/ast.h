@@ -97,6 +97,10 @@ enum class AggregateFn { kCount, kSum, kAvg, kMin, kMax };
 
 const char* AggregateFnName(AggregateFn fn);
 
+/// The plan variable that carries an aggregate call's result: "<fn>_<var>".
+/// Semantic analysis keeps grouping keys from colliding with these names.
+std::string AggregateOutputName(AggregateFn fn, const std::string& var);
+
 /// CONSTRUCT template node.
 struct TemplateNode {
   enum class Kind { kElement, kText, kVariable, kAggregate };

@@ -133,21 +133,49 @@ Status AnalyzeBasic(const Query& query,
                                   "aggregation");
       }
     }
+    // The aggregate's output row is the grouping keys followed by one
+    // column per aggregate call, named by AggregateOutputName: every name
+    // must be distinct.
+    std::vector<std::pair<AggregateFn, std::string>> calls;
+    query.construct->CollectAggregates(&calls);
+    std::set<std::string> seen;
+    for (size_t i = 0; i < query.group_by.size(); ++i) {
+      const std::string& var = query.group_by[i];
+      SourcePos pos =
+          i < query.group_by_pos.size() ? query.group_by_pos[i] : SourcePos{};
+      if (!seen.insert(var).second) {
+        return Status::ParseError("GROUP BY $" + var + AtPos(pos) +
+                                  " is listed twice");
+      }
+      for (const auto& [fn, input] : calls) {
+        if (AggregateOutputName(fn, input) == var) {
+          return Status::ParseError("GROUP BY $" + var + AtPos(pos) +
+                                    " is named like the output of " +
+                                    AggregateFnName(fn) + "($" + input + ")");
+        }
+      }
+    }
   }
   return Status::OK();
 }
 
 const char* TypeName(const Value& value) { return ValueTypeName(value.type()); }
 
-/// Strict-mode binding discipline: ELEMENT_AS bindings are node-valued and
-/// may neither repeat nor alias a scalar binding.
-Status CheckBindingDiscipline(const std::vector<BindingSite>& bindings) {
+/// Binding discipline. ELEMENT_AS bindings are node-valued, and a variable
+/// bound both as an element and as a scalar is rejected in every mode: node
+/// equality is DeepEquals but node-vs-scalar equality compares the node's
+/// scalar view, so the relation is not transitive and which combinations
+/// unify would depend on the order the matcher compares them in. Binding
+/// one variable by ELEMENT_AS twice is well-defined (DeepEquals is an
+/// equivalence) but useless as a join key, and only strict mode rejects it.
+Status CheckBindingDiscipline(const std::vector<BindingSite>& bindings,
+                              bool strict) {
   std::map<std::string, SourcePos> element_sites;
   std::map<std::string, SourcePos> scalar_sites;
   for (const BindingSite& site : bindings) {
     if (site.is_element) {
       auto [it, inserted] = element_sites.emplace(site.variable, site.pos);
-      if (!inserted) {
+      if (!inserted && strict) {
         return Status::ParseError(
             "variable $" + site.variable + " is bound by ELEMENT_AS twice" +
             AtPos(it->second) + AtPos(site.pos) +
@@ -271,11 +299,8 @@ Status AnalyzeQuery(const Query& query, const AnalysisOptions& options) {
   }
 
   NIMBLE_RETURN_IF_ERROR(AnalyzeBasic(query, bindings));
-
-  if (options.strict) {
-    NIMBLE_RETURN_IF_ERROR(CheckBindingDiscipline(bindings));
-    NIMBLE_RETURN_IF_ERROR(CheckConditions(query));
-  }
+  NIMBLE_RETURN_IF_ERROR(CheckBindingDiscipline(bindings, options.strict));
+  if (options.strict) NIMBLE_RETURN_IF_ERROR(CheckConditions(query));
 
   if (options.resolver != nullptr) {
     for (const PatternClause& clause : query.patterns) {

@@ -26,8 +26,9 @@ struct AnalysisOptions {
   /// references become position-citing errors.
   const CollectionResolver* resolver = nullptr;
   /// Basic mode (the parser's Validate) checks structure, unbound
-  /// variables, and aggregation rules. Strict mode — run by the engine's
-  /// plan verifier — adds duplicate/conflicting bindings, type-incompatible
+  /// variables, aggregation rules, and that no variable is bound both by
+  /// ELEMENT_AS and as a scalar. Strict mode — run by the engine's plan
+  /// verifier — adds duplicate ELEMENT_AS bindings, type-incompatible
   /// comparisons, and statically unsatisfiable conditions.
   bool strict = false;
 };

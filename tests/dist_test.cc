@@ -425,7 +425,9 @@ TEST(CoordinatorTest, ExplainShowsScatterAndGatherRows) {
 // Every single-pattern branch over a sharded collection scatters, whatever
 // its aggregation: ELEMENT_AS bindings, a repeated grouping key, an
 // aggregate named like a grouping key, ORDER BY off the grouping keys. Each
-// answers exactly as the local engine does, or fails with the same code.
+// answers exactly as the local engine does, or fails with the same code: the
+// repeated key and the colliding name are analysis errors (kParseError at
+// parse time, with or without verify_plans), as is ORDER BY off the keys.
 TEST(CoordinatorTest, AggregationShapesScatterAndMatchLocal) {
   DistFixture fx = MakeDist(4);
   ASSERT_NE(fx.coordinator, nullptr);

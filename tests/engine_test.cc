@@ -525,6 +525,39 @@ TEST_F(EngineTest, ErrorUnboundVariable) {
   EXPECT_EQ(r.status().code(), StatusCode::kParseError);
 }
 
+// Shapes semantic analysis rejects fail with the same user error whether or
+// not the plan verifier runs: a grouping key named like an aggregate output,
+// a duplicate grouping key, and a variable bound both by ELEMENT_AS and as a
+// scalar (each answered with verify_plans off before analysis caught it).
+TEST_F(EngineTest, RejectedShapesFailAlikeWithAndWithoutVerifier) {
+  const std::pair<const char*, StatusCode> kCases[] = {
+      {"WHERE <orders><row><cust>$count_t</cust><total>$t</total></row>"
+       "</orders> IN \"sales:orders\" "
+       "CONSTRUCT <r c=$count_t><n>count($t)</n></r> GROUP BY $count_t",
+       StatusCode::kParseError},
+      {"WHERE <orders><row><cust>$c</cust><total>$t</total></row></orders>"
+       " IN \"sales:orders\" CONSTRUCT <r c=$c><n>count($t)</n></r>"
+       " GROUP BY $c, $c",
+       StatusCode::kParseError},
+      {"WHERE <products><product ELEMENT_AS $e><title>$t</title>"
+       "<price>$e</price></product></products> IN \"feed:products\" "
+       "CONSTRUCT <r>$t</r>",
+       StatusCode::kTypeError},
+  };
+  for (bool verify : {true, false}) {
+    EngineOptions options = BaseOptions();
+    options.verify_plans = verify;
+    Rebuild(options);
+    for (const auto& [text, code] : kCases) {
+      Result<QueryResult> r = engine_->ExecuteText(text);
+      ASSERT_FALSE(r.ok()) << "verify_plans=" << verify << ": " << text;
+      EXPECT_EQ(r.status().code(), code)
+          << "verify_plans=" << verify << ": " << text << "\n"
+          << r.status().ToString();
+    }
+  }
+}
+
 // ---- Plan cache / result cache (§2.1 caching) ------------------------------
 
 TEST_F(EngineTest, PlanCacheReusesCompiledQueries) {
